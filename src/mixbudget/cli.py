@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,7 @@ from .metrics import (
 )
 from .model import (
     forward_logits,
-    forward_multilabel,
-    forward_softmax,
+    forward_scores,
     load_checkpoint,
     save_checkpoint,
     softmax,
@@ -138,17 +137,25 @@ def eval_path(cfg: dict) -> Path:
     return data_dir(cfg) / "eval.jsonl"
 
 
+def _known_keys(cls, section: dict, name: str) -> dict:
+    """A copy of config ``section``, which may set only fields of ``cls``."""
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {name} key {unknown[0]!r}")
+    return dict(section)
+
+
 def build_plan(cfg: dict) -> BudgetPlan:
     if "plan" not in cfg:
         raise ConfigError("config has no budget plan")
-    return BudgetPlan(**cfg["plan"])
+    return BudgetPlan(**_known_keys(BudgetPlan, cfg["plan"], "plan"))
 
 
 def build_strategy(cfg: dict, seed: int) -> StrategySpec:
     if "strategy" not in cfg:
         raise ConfigError("config has no strategy")
-    raw = dict(cfg["strategy"])
-    mixup = MixupConfig(**raw.pop("mixup", {}))
+    raw = _known_keys(StrategySpec, cfg["strategy"], "strategy")
+    mixup = MixupConfig(**_known_keys(MixupConfig, raw.pop("mixup", {}), "strategy.mixup"))
     raw.pop("seed", None)
     if "hidden_sizes" in raw:
         raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
@@ -161,6 +168,14 @@ def build_strategy(cfg: dict, seed: int) -> StrategySpec:
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+def _write_json(path: Path, obj: dict) -> dict:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")
+    return obj
+
 
 def cmd_gen(cfg: dict) -> dict:
     corpus = cfg["corpus"]
@@ -200,10 +215,7 @@ def cmd_split(cfg: dict) -> dict:
     manifest = split_manifest(plan, split)
     manifest["files"] = {name: str(out / f"{name}.jsonl")
                          for name in ("singles", "multis", "unlabeled")}
-    with open(out / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return manifest
+    return _write_json(out / "manifest.json", manifest)
 
 
 def _load_split(cfg: dict, vocab: LabelVocab) -> CorpusSplit:
@@ -249,9 +261,7 @@ def _load_params(cfg: dict, seed: int):
     return params
 
 
-def _distribution_report(cfg, params, examples, vocab, pred_dists=None) -> EvalReport:
-    X = np.stack([ex.features for ex in examples])
-    P = forward_softmax(params, X) if pred_dists is None else pred_dists
+def _distribution_report(cfg, P, examples, vocab) -> EvalReport:
     return evaluate_distribution(
         P,
         examples,
@@ -267,12 +277,11 @@ def cmd_eval(cfg: dict, seed: int) -> dict:
     examples = _load_eval(cfg, vocab)
     params = _load_params(cfg, seed)
     out = run_dir(cfg, seed)
+    scores = forward_scores(params, np.stack([ex.features for ex in examples]))
     if cfg["task"] == "distribution":
-        report = _distribution_report(cfg, params, examples, vocab)
+        report = _distribution_report(cfg, scores, examples, vocab)
         write_histogram_csv(report, out / "histogram.csv")
     else:
-        X = np.stack([ex.features for ex in examples])
-        scores = forward_multilabel(params, X)
         gold_sets = [set(ex.annotations) for ex in examples]
         report = evaluate_typing(scores, gold_sets, [ex.uid for ex in examples],
                                  threshold=float(cfg.get("threshold", 0.5)))
@@ -321,9 +330,9 @@ def cmd_calibrate(cfg: dict, seed: int) -> dict:
         split = _load_split(cfg, vocab)
         spec = replace(build_strategy(cfg, seed), train_smooth_mass=tuned.scalar)
         params, _ = run_strategy(spec, split, vocab)
-        preds = forward_softmax(params, X)
+        preds = forward_scores(params, X)
 
-    report = _distribution_report(cfg, params, examples, vocab, pred_dists=preds)
+    report = _distribution_report(cfg, preds, examples, vocab)
     report.calibration = {
         "method": method,
         "scalar": tuned.scalar,
@@ -369,12 +378,7 @@ def cmd_sweep(cfg: dict) -> dict:
     else:
         summaries = [_sweep_worker(cfg_json, seed) for seed in seeds]
     summary = summarize_seeds(summaries, seeds)
-    path = Path(cfg["outdir"]) / config_hash(cfg) / "summary.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return summary
+    return _write_json(Path(cfg["outdir"]) / config_hash(cfg) / "summary.json", summary)
 
 
 def cmd_report(cfg: dict) -> dict:
@@ -385,12 +389,7 @@ def cmd_report(cfg: dict) -> dict:
             raise ConfigError(f"report not found at {path} (run eval or sweep first?)")
         summaries.append(read_report_summary(path))
     summary = summarize_seeds(summaries, cfg["seeds"])
-    path = Path(cfg["outdir"]) / config_hash(cfg) / "summary.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return summary
+    return _write_json(Path(cfg["outdir"]) / config_hash(cfg) / "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------

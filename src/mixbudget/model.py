@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 PRED_CLAMP = 1e-12  # floor for probabilities inside logs
-
-HEADS = ("softmax", "sigmoid")
 
 
 @dataclass
@@ -134,23 +133,21 @@ def forward_multilabel(params: ClassifierParams, x) -> np.ndarray:
     return sigmoid(forward_logits(params, x))
 
 
+def forward_scores(params: ClassifierParams, x) -> np.ndarray:
+    """Output of the model's own head for feature row(s)."""
+    return HEADS[params.head].activate(forward_logits(params, x))
+
+
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
 
-def soft_cross_entropy(pred, target) -> float:
-    """-sum_c target_c * ln(pred_c), with pred clamped at 1e-12.
-
-    Equals KL(target || pred) plus the target entropy, so its gradients in
-    the model parameters are identical to the KL objective's.
-    """
-    p = np.maximum(np.asarray(pred, dtype=np.float64), PRED_CLAMP)
-    t = np.asarray(target, dtype=np.float64)
-    return float(-np.sum(t * np.log(p)))
-
-
 def batch_soft_cross_entropy(P: np.ndarray, T: np.ndarray) -> float:
-    """Mean soft cross-entropy over rows."""
+    """Mean over rows of -sum_c T_c * ln(P_c), with P clamped at 1e-12.
+
+    Equals KL(T || P) plus the target entropy, so its gradients in the
+    model parameters are identical to the KL objective's.
+    """
     P = np.maximum(np.asarray(P, dtype=np.float64), PRED_CLAMP)
     return float(-np.mean(np.sum(T * np.log(P), axis=1)))
 
@@ -162,25 +159,67 @@ def negative_weights(targets: np.ndarray, w_neg: float) -> np.ndarray:
     return w_neg + (1.0 - w_neg) * targets
 
 
-def multilabel_bce(scores, positive_types, w_neg: float = 0.1) -> float:
-    """Mean over types of binary cross-entropy against the positive set,
-    negative terms down-weighted by ``w_neg`` (annotations are partial, so
-    an unannotated type is only weak evidence of absence)."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.zeros(s.shape[-1])
-    for t in positive_types:
-        if not 0 <= t < s.shape[-1]:
-            raise ValueError(f"type index {t} outside ontology of size {s.shape[-1]}")
-        y[t] = 1.0
-    return batch_multilabel_bce(np.atleast_2d(s), np.atleast_2d(y), w_neg)
-
-
 def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray, w_neg: float = 0.1) -> float:
+    """Mean over rows, and over types within a row, of binary cross-entropy
+    against multi-hot targets, negative terms down-weighted by ``w_neg``
+    (annotations are partial, so an unannotated type is only weak evidence
+    of absence)."""
     S = np.clip(np.asarray(S, dtype=np.float64), PRED_CLAMP, 1.0 - PRED_CLAMP)
     Y = np.asarray(Y, dtype=np.float64)
     w = negative_weights(Y, w_neg)
     per_type = -(Y * np.log(S) + (1.0 - Y) * np.log(1.0 - S))
     return float(np.mean(np.sum(w * per_type, axis=1) / S.shape[1]))
+
+
+# ---------------------------------------------------------------------------
+# heads
+# ---------------------------------------------------------------------------
+
+def threshold_types(S: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """Multi-hot rows of the types scoring above ``threshold``; a row with
+    none falls back to its single best type, so no row is empty."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+    S = np.asarray(S, dtype=np.float64)
+    Y = (S > threshold).astype(np.float64)
+    empty = ~Y.any(axis=1)
+    Y[empty, np.argmax(S[empty], axis=1)] = 1.0
+    return Y
+
+
+def predict_types(scores, threshold: float = 0.5) -> set[int]:
+    """The type set ``threshold_types`` picks for one row of scores."""
+    return set(np.flatnonzero(threshold_types(np.atleast_2d(scores), threshold)[0]).tolist())
+
+
+@dataclass(frozen=True)
+class Head:
+    """One output head. ``activate`` maps logits to scores; ``loss`` and
+    ``dlogits`` take (scores, targets, w_neg) and give the mean batch loss
+    and its gradient in the logits; ``sharpen`` maps a 2-D score batch to
+    hard targets (pseudo labels)."""
+
+    activate: Callable
+    loss: Callable
+    dlogits: Callable
+    sharpen: Callable
+
+
+HEADS = {
+    "softmax": Head(
+        activate=softmax,
+        loss=lambda P, T, w_neg: batch_soft_cross_entropy(P, T),
+        # d(mean CE)/dlogits for targets summing to 1
+        dlogits=lambda P, T, w_neg: (P - T) / len(P),
+        sharpen=lambda P: np.eye(P.shape[1])[np.argmax(P, axis=1)],
+    ),
+    "sigmoid": Head(
+        activate=sigmoid,
+        loss=batch_multilabel_bce,
+        dlogits=lambda S, Y, w_neg: negative_weights(Y, w_neg) * (S - Y) / (Y.shape[1] * len(S)),
+        sharpen=threshold_types,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -201,50 +240,21 @@ def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ_out: np.ndarr
     return grads
 
 
-def grad_batch(params: ClassifierParams, X, T) -> tuple[float, list[np.ndarray]]:
-    """Loss and analytic gradient of the mean soft cross-entropy over a
-    batch. Gradients are returned as a flat list aligned with
-    ``params.arrays()``. Valid while predictions sit above the clamp,
-    which holds everywhere the loss is finite anyway.
+def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1) -> tuple[float, list[np.ndarray]]:
+    """Loss and analytic gradient of the head's mean batch loss: soft
+    cross-entropy (softmax head) or down-weighted multi-label BCE (sigmoid
+    head, negatives weighted by ``w_neg``). Gradients are returned as a
+    flat list aligned with ``params.arrays()``. Valid while predictions sit
+    above the clamp, which holds everywhere the loss is finite anyway.
     """
+    head = HEADS[params.head]
     X = np.atleast_2d(_check_input(params, X))
     T = np.atleast_2d(np.asarray(T, dtype=np.float64))
     if len(X) == 0:
         raise ValueError("empty batch")
     logits, acts = _forward_cached(params, X)
-    P = softmax(logits)
-    loss = batch_soft_cross_entropy(P, T)
-    # d(mean CE)/dlogits for targets summing to 1: (P - T) / B
-    dZ = (P - T) / len(X)
-    return loss, _backprop(params, acts, dZ)
-
-
-def grad_batch_multilabel(
-    params: ClassifierParams, X, Y, w_neg: float = 0.1
-) -> tuple[float, list[np.ndarray]]:
-    """Loss and gradient of the mean down-weighted multi-label BCE."""
-    X = np.atleast_2d(_check_input(params, X))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if len(X) == 0:
-        raise ValueError("empty batch")
-    logits, acts = _forward_cached(params, X)
-    S = sigmoid(logits)
-    loss = batch_multilabel_bce(S, Y, w_neg)
-    w = negative_weights(Y, w_neg)
-    dZ = w * (S - Y) / (Y.shape[1] * len(X))
-    return loss, _backprop(params, acts, dZ)
-
-
-def predict_types(scores, threshold: float = 0.5) -> set[int]:
-    """Types scoring above ``threshold``; falls back to the single best
-    type so predictions are never empty."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    s = np.asarray(scores, dtype=np.float64)
-    picked = set(np.flatnonzero(s > threshold).tolist())
-    if not picked:
-        picked = {int(np.argmax(s))}
-    return picked
+    S = head.activate(logits)
+    return head.loss(S, T, w_neg), _backprop(params, acts, head.dlogits(S, T, w_neg))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ interpolation-based family that mixes convex combinations of example
 pairs, within and across the three sets. Unlabeled examples enter through
 argmax-sharpened pseudo labels recomputed from the current model each
 iteration; cross-set terms are weighted by a linearly ramped coefficient.
+Every strategy is a list of phases run by one training loop.
 """
 from __future__ import annotations
 
@@ -15,40 +16,47 @@ import numpy as np
 
 from .corpus import CorpusSplit, LabelVocab, aggregate_annotations
 from .model import (
+    HEADS,
     ClassifierParams,
     adam_step,
-    forward_multilabel,
-    forward_softmax,
+    forward_scores,
     grad_batch,
-    grad_batch_multilabel,
     init_adam,
     init_params,
-    predict_types,
 )
 
-STRATEGY_KINDS = (
-    "ce_combined",
-    "ce_upsampling",
-    "ce_curriculum",
-    "mixup_s",
-    "mixup_sm",
-    "mixup_su",
-    "mixup_su_then_m",
-    "mixup_smu",
-)
-
-# Loss terms per interpolation strategy. Within-set terms carry unit
-# weight; cross-set terms are scaled by the ramped coefficient.
-WITHIN_TERMS = {"L_ss": "s", "L_mm": "m"}
-CROSS_TERMS = {"L_sm": ("s", "m"), "L_su": ("s", "u"), "L_mu": ("m", "u")}
-STRATEGY_TERMS = {
-    "mixup_s": ("L_ss",),
-    "mixup_sm": ("L_ss", "L_mm", "L_sm"),
-    "mixup_su": ("L_ss", "L_su"),
-    "mixup_su_then_m": ("L_ss", "L_su"),
-    "mixup_smu": ("L_ss", "L_mm", "L_sm", "L_su", "L_mu"),
+# Interpolation loss terms, each with the two sets it mixes. Within-set
+# terms carry unit weight; cross-set terms are scaled by the ramped
+# coefficient.
+TERMS = {
+    "L_ss": ("s", "s"),
+    "L_mm": ("m", "m"),
+    "L_sm": ("s", "m"),
+    "L_su": ("s", "u"),
+    "L_mu": ("m", "u"),
 }
 SET_NAMES = {"s": "singles", "m": "multis", "u": "unlabeled"}
+
+# Each strategy is a list of phases: (phase, iterations field of the spec,
+# sampler, terms). The sampler is "pooled" (one batch from singles and
+# multis together), "upsampled" (each slot an even coin flip between the
+# two), or the set keys to draw one batch each from, in draw order. A
+# phase with no terms trains on its one batch unmixed; otherwise it sums
+# the listed interpolation terms.
+STRATEGIES = {
+    "ce_combined": [(1, "iterations_main", "pooled", ())],
+    "ce_upsampling": [(1, "iterations_main", "upsampled", ())],
+    "ce_curriculum": [(1, "iterations_main", ("s",), ()),
+                      (2, "iterations_finetune", ("m",), ())],
+    "mixup_s": [(1, "iterations_main", ("s",), ("L_ss",))],
+    "mixup_sm": [(1, "iterations_main", ("m", "s"), ("L_ss", "L_mm", "L_sm"))],
+    "mixup_su": [(1, "iterations_main", ("s", "u"), ("L_ss", "L_su"))],
+    "mixup_su_then_m": [(1, "iterations_main", ("s", "u"), ("L_ss", "L_su")),
+                        (2, "iterations_finetune", ("m",), ())],
+    "mixup_smu": [(1, "iterations_main", ("m", "s", "u"),
+                   ("L_ss", "L_mm", "L_sm", "L_su", "L_mu"))],
+}
+STRATEGY_KINDS = tuple(STRATEGIES)
 
 
 class StrategyError(ValueError):
@@ -177,15 +185,6 @@ def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> d
 # interpolation primitives
 # ---------------------------------------------------------------------------
 
-def mix_pair(a, b, lam: float):
-    """Convex combination of two (features, target) pairs."""
-    xa, ya = a
-    xb, yb = b
-    (xm,), (ym,) = mix_batches((np.atleast_2d(xa), np.atleast_2d(ya)),
-                               (np.atleast_2d(xb), np.atleast_2d(yb)), lam)
-    return xm, ym
-
-
 def mix_batches(batch_a, batch_b, lam: float):
     """Row-wise convex combinations of two equal-size (X, Y) batches."""
     if not 0.0 <= lam <= 1.0:
@@ -209,17 +208,8 @@ def pseudo_label(params: ClassifierParams, x_u) -> np.ndarray:
     """Sharpened model target for unlabeled features: one-hot at the
     argmax of the predicted distribution (softmax head), or the multi-hot
     thresholded type set (sigmoid head). Never part of the gradient."""
-    if params.head == "sigmoid":
-        scores = forward_multilabel(params, x_u)
-        if scores.ndim == 1:
-            return multi_hot(predict_types(scores), scores.shape[0])
-        return np.stack([multi_hot(predict_types(s), scores.shape[1]) for s in scores])
-    probs = forward_softmax(params, x_u)
-    if probs.ndim == 1:
-        return one_hot(int(np.argmax(probs)), probs.shape[0])
-    Y = np.zeros_like(probs)
-    Y[np.arange(len(probs)), np.argmax(probs, axis=1)] = 1.0
-    return Y
+    scores = forward_scores(params, x_u)
+    return HEADS[params.head].sharpen(np.atleast_2d(scores)).reshape(scores.shape)
 
 
 @dataclass
@@ -241,10 +231,9 @@ def draw_pairing(rng: np.random.Generator, terms, batch_size: int, cfg: MixupCon
     lam = float(rng.beta(cfg.eta, cfg.eta))
     pairs = {}
     for term in terms:
-        if term in WITHIN_TERMS:
-            pairs[term] = (np.arange(batch_size), rng.permutation(batch_size))
-        else:
-            pairs[term] = (rng.permutation(batch_size), rng.permutation(batch_size))
+        set_a, set_b = TERMS[term]
+        first = np.arange(batch_size) if set_a == set_b else rng.permutation(batch_size)
+        pairs[term] = (first, rng.permutation(batch_size))
     return MixPairing(lam=lam, term_pairs=pairs)
 
 
@@ -252,10 +241,7 @@ def apply_pairing(batches: dict, pairing: MixPairing) -> dict:
     """Build the mixed (X, Y) batch for every term in the pairing."""
     out = {}
     for term, (idx_a, idx_b) in pairing.term_pairs.items():
-        if term in WITHIN_TERMS:
-            set_a = set_b = WITHIN_TERMS[term]
-        else:
-            set_a, set_b = CROSS_TERMS[term]
+        set_a, set_b = TERMS[term]
         Xa, Ya = batches[set_a]
         Xb, Yb = batches[set_b]
         out[term] = mix_batches((Xa[idx_a], Ya[idx_a]), (Xb[idx_b], Yb[idx_b]), pairing.lam)
@@ -278,11 +264,9 @@ def composite_loss_and_grad(
     total = 0.0
     components = {}
     for term, (Xm, Ym) in term_batches.items():
-        if params.head == "sigmoid":
-            loss, g = grad_batch_multilabel(params, Xm, Ym, w_neg)
-        else:
-            loss, g = grad_batch(params, Xm, Ym)
-        weight = 1.0 if term in WITHIN_TERMS else alpha
+        loss, g = grad_batch(params, Xm, Ym, w_neg)
+        set_a, set_b = TERMS[term]
+        weight = 1.0 if set_a == set_b else alpha
         components[term] = loss
         total += weight * loss
         if grads is None:
@@ -294,37 +278,48 @@ def composite_loss_and_grad(
 
 
 # ---------------------------------------------------------------------------
-# training loops
+# the training loop
 # ---------------------------------------------------------------------------
 
-def _sample_rows(rng, n: int, batch_size: int) -> np.ndarray:
-    # with replacement only when the set is smaller than a batch
-    return rng.choice(n, size=batch_size, replace=n < batch_size)
+def _rows(X, Y=None):
+    """Batch draw from one set; ``Y`` is None for the unlabeled set."""
+    def draw(rng, B):
+        # with replacement only when the set is smaller than a batch
+        idx = rng.choice(len(X), size=B, replace=len(X) < B)
+        return X[idx], None if Y is None else Y[idx]
+
+    return draw
 
 
-def _require(data, set_key: str, kind: str):
-    if data[set_key] is None:
-        raise StrategyError(f"strategy {kind} requires non-empty {SET_NAMES[set_key]}")
+def _upsampled(singles, multis):
+    (Xs, Ys), (Xm, Ym) = singles, multis
+
+    def draw(rng, B):
+        # each slot is an even coin flip between the two sets, so multi
+        # examples match single examples in aggregate frequency
+        from_multi = rng.random(B) < 0.5
+        idx_s = rng.integers(0, len(Xs), size=B)
+        idx_m = rng.integers(0, len(Xm), size=B)
+        X = np.where(from_multi[:, None], Xm[idx_m], Xs[idx_s])
+        Y = np.where(from_multi[:, None], Ym[idx_m], Ys[idx_s])
+        return X, Y
+
+    return draw
 
 
-def terms_sets(terms) -> list[str]:
-    """Sorted set keys a collection of loss terms touches."""
-    keys = set()
-    for t in terms:
-        if t in WITHIN_TERMS:
-            keys.add(WITHIN_TERMS[t])
-        else:
-            keys.update(CROSS_TERMS[t])
-    return sorted(keys)
-
-
-def _grad_step(params, adam, X, Y, spec):
-    if spec.head == "sigmoid":
-        loss, g = grad_batch_multilabel(params, X, Y, spec.w_neg)
-    else:
-        loss, g = grad_batch(params, X, Y)
-    adam_step(params, adam, g)
-    return loss
+def _draws(data: dict, sampler, kind: str) -> dict:
+    """One phase's batch draws, {batch key: draw(rng, B) -> (X, Y)}."""
+    if sampler == "pooled":
+        labeled = [data[k] for k in ("s", "m") if data[k] is not None]
+        return {"pooled": _rows(np.concatenate([X for X, _ in labeled]),
+                                np.concatenate([Y for _, Y in labeled]))}
+    keys = ("s", "m") if sampler == "upsampled" else sampler
+    for key in keys:
+        if data[key] is None:
+            raise StrategyError(f"strategy {kind} requires non-empty {SET_NAMES[key]}")
+    if sampler == "upsampled":
+        return {"upsampled": _upsampled(data["s"], data["m"])}
+    return {key: _rows(data["u"]) if key == "u" else _rows(*data[key]) for key in keys}
 
 
 def _maybe_input_dropout(rng, X, p):
@@ -334,107 +329,53 @@ def _maybe_input_dropout(rng, X, p):
     return X * mask / (1.0 - p)
 
 
-def _abort_if_not_finite(loss, it, log):
-    if not np.isfinite(loss):
+def _abort_if_not_finite(loss, grads, it, log):
+    # checked before the update, so a bad step is never applied
+    if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):
         tail = json.dumps(log[-5:])
-        raise StrategyError(f"non-finite loss at iteration {it}; log tail: {tail}")
-
-
-def _ce_phase(params, adam, sampler, iterations, spec, rng, log, phase):
-    B = spec.mixup.batch_size
-    for it in range(iterations):
-        X, Y = sampler(rng, B)
-        X = _maybe_input_dropout(rng, X, spec.input_dropout)
-        loss = _grad_step(params, adam, X, Y, spec)
-        _abort_if_not_finite(loss, it, log)
-        log.append({"iter": it, "phase": phase, "alpha": 0.0, "loss": loss})
-
-
-def _mixup_phase(params, adam, data, terms, iterations, spec, rng, log, phase):
-    cfg = spec.mixup
-    B = cfg.batch_size
-    set_keys = terms_sets(terms)
-    for it in range(iterations):
-        batches = {}
-        for key in set_keys:  # deterministic "m" < "s" < "u" draw order
-            if key == "u":
-                idx = _sample_rows(rng, len(data["u"]), B)
-                Xu = _maybe_input_dropout(rng, data["u"][idx], spec.input_dropout)
-                batches["u"] = (Xu, pseudo_label(params, Xu))
-            else:
-                X, Y = data[key]
-                idx = _sample_rows(rng, len(X), B)
-                batches[key] = (_maybe_input_dropout(rng, X[idx], spec.input_dropout), Y[idx])
-        pairing = draw_pairing(rng, terms, B, cfg)
-        alpha = ramp_alpha(it, cfg)
-        term_batches = apply_pairing(batches, pairing)
-        loss, grads, comps = composite_loss_and_grad(params, term_batches, alpha, spec.w_neg)
-        adam_step(params, adam, grads)
-        _abort_if_not_finite(loss, it, log)
-        entry = {"iter": it, "phase": phase, "alpha": alpha, "loss": loss}
-        entry.update(comps)
-        log.append(entry)
+        raise StrategyError(f"non-finite loss or gradient at iteration {it}; log tail: {tail}")
 
 
 def run_strategy(
     spec: StrategySpec, split: CorpusSplit, vocab: LabelVocab
 ) -> tuple[ClassifierParams, TrainLog]:
     """Train a classifier on ``split`` under ``spec``; deterministic given
-    ``spec.seed``. Curriculum kinds run the main phase, then fine-tune on
-    the multi set with plain cross-entropy for ``iterations_finetune``."""
+    ``spec.seed``. Runs the phases of ``STRATEGIES[spec.kind]`` in order,
+    skipping phases with zero iterations. Each iteration draws one batch
+    per sampler key (input dropout applied, unlabeled rows pseudo-labeled),
+    then, for a mixup phase, lambda and the pairings."""
     data = make_targets(split, vocab, spec)
     sets_present = [k for k in ("s", "m") if data[k] is not None]
     if not sets_present:
         raise StrategyError(f"strategy {spec.kind} requires at least one labeled set")
     d_feat = data[sets_present[0]][0].shape[1]
+    phases = [(phase, getattr(spec, iters), _draws(data, sampler, spec.kind), terms)
+              for phase, iters, sampler, terms in STRATEGIES[spec.kind]
+              if getattr(spec, iters) > 0]
 
     params = init_params(d_feat, spec.hidden_sizes, vocab.size, spec.head, spec.seed)
     adam = init_adam(params, spec.lr)
     rng = np.random.default_rng(spec.seed)
+    cfg = spec.mixup
     log: list[dict] = []
-
-    def pool_sampler(X, Y):
-        def sample(r, B):
-            idx = _sample_rows(r, len(X), B)
-            return X[idx], Y[idx]
-
-        return sample
-
-    kind = spec.kind
-    if kind == "ce_combined":
-        X = np.concatenate([data[k][0] for k in sets_present])
-        Y = np.concatenate([data[k][1] for k in sets_present])
-        _ce_phase(params, adam, pool_sampler(X, Y), spec.iterations_main, spec, rng, log, phase=1)
-    elif kind == "ce_upsampling":
-        _require(data, "s", kind)
-        _require(data, "m", kind)
-        Xs, Ys = data["s"]
-        Xm, Ym = data["m"]
-
-        def upsampler(r, B):
-            # each slot is an even coin flip between the two sets, so multi
-            # examples match single examples in aggregate frequency
-            from_multi = r.random(B) < 0.5
-            idx_s = r.integers(0, len(Xs), size=B)
-            idx_m = r.integers(0, len(Xm), size=B)
-            X = np.where(from_multi[:, None], Xm[idx_m], Xs[idx_s])
-            Y = np.where(from_multi[:, None], Ym[idx_m], Ys[idx_s])
-            return X, Y
-
-        _ce_phase(params, adam, upsampler, spec.iterations_main, spec, rng, log, phase=1)
-    elif kind == "ce_curriculum":
-        _require(data, "s", kind)
-        _ce_phase(params, adam, pool_sampler(*data["s"]), spec.iterations_main, spec, rng, log, phase=1)
-    else:
-        terms = STRATEGY_TERMS[kind]
-        for key in terms_sets(terms):
-            _require(data, key, kind)
-        _mixup_phase(params, adam, data, terms, spec.iterations_main, spec, rng, log, phase=1)
-
-    if kind in ("ce_curriculum", "mixup_su_then_m") and spec.iterations_finetune > 0:
-        _require(data, "m", kind)
-        _ce_phase(
-            params, adam, pool_sampler(*data["m"]), spec.iterations_finetune, spec, rng, log, phase=2
-        )
+    for phase, iterations, draws, terms in phases:
+        for it in range(iterations):
+            batches = {}
+            for key, draw in draws.items():
+                X, Y = draw(rng, cfg.batch_size)
+                X = _maybe_input_dropout(rng, X, spec.input_dropout)
+                batches[key] = (X, pseudo_label(params, X) if Y is None else Y)
+            if terms:
+                pairing = draw_pairing(rng, terms, cfg.batch_size, cfg)
+                alpha = ramp_alpha(it, cfg)
+                term_batches = apply_pairing(batches, pairing)
+                loss, grads, comps = composite_loss_and_grad(params, term_batches, alpha, spec.w_neg)
+            else:
+                ((X, Y),) = batches.values()
+                loss, grads = grad_batch(params, X, Y, spec.w_neg)
+                alpha, comps = 0.0, {}
+            _abort_if_not_finite(loss, grads, it, log)
+            adam_step(params, adam, grads)
+            log.append({"iter": it, "phase": phase, "alpha": alpha, "loss": loss, **comps})
 
     return params, TrainLog(log)

@@ -40,7 +40,6 @@ from mixbudget.metrics import (
 from mixbudget.model import (
     forward_softmax,
     grad_batch,
-    grad_batch_multilabel,
     init_params,
     softmax,
 )
@@ -203,10 +202,10 @@ def test_criterion_2_gradient_suite():
         params = init_params(4, (5,), 6, head="sigmoid", seed=trial)
         X = rng.normal(size=(3, 4))
         Y = (rng.random((3, 6)) < 0.4).astype(float)
-        _, grads = grad_batch_multilabel(params, X, Y, 0.1)
+        _, grads = grad_batch(params, X, Y, 0.1)
         worst = max(
             worst,
-            max_rel_err(grads, finite_difference(params, lambda: grad_batch_multilabel(params, X, Y, 0.1)[0])),
+            max_rel_err(grads, finite_difference(params, lambda: grad_batch(params, X, Y, 0.1)[0])),
         )
     checks.append((f"multilabel BCE rel err {worst:.2e}", worst < 1e-4))
 

@@ -334,6 +334,20 @@ class TestConfigValidation:
                                     "corpus": {}, "outdir": "x"}))
         assert run_cli("gen", "--config", str(path)) == 1
 
+    def test_unknown_section_key_fails_naming_it(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        path = write_config(tmp_path, cfg)
+        assert run_cli("gen", "--config", str(path)) == 0
+        assert run_cli("split", "--config", str(path)) == 0
+        for command, section in (("split", "plan"), ("train", "strategy"),
+                                 ("train", "strategy.mixup")):
+            bad = json.loads(json.dumps(cfg))
+            target = bad["strategy"]["mixup"] if section == "strategy.mixup" else bad[section]
+            target["bogus"] = 1
+            assert run_cli(command, "--config", str(write_config(tmp_path, bad, "bad.json"))) == 1
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert json.loads(err)["error"] == f"ConfigError: unknown {section} key 'bogus'"
+
     def test_out_flag_overrides_outdir(self, tmp_path):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)

@@ -9,17 +9,16 @@ from mixbudget.corpus import SyntheticConfig, generate_synthetic_pool
 from mixbudget.model import (
     ClassifierParams,
     adam_step,
+    batch_multilabel_bce,
+    batch_soft_cross_entropy,
     forward_multilabel,
     forward_softmax,
     grad_batch,
-    grad_batch_multilabel,
     init_adam,
     init_params,
     load_checkpoint,
-    multilabel_bce,
     predict_types,
     save_checkpoint,
-    soft_cross_entropy,
 )
 
 
@@ -89,26 +88,27 @@ class TestForwardSoftmax:
 
 class TestSoftCrossEntropy:
     def test_self_entropy_of_uniform(self):
-        u = np.ones(3) / 3
-        assert soft_cross_entropy(u, u) == pytest.approx(math.log(3), abs=1e-12)
+        u = np.ones((1, 3)) / 3
+        assert batch_soft_cross_entropy(u, u) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_perfect_one_hot(self):
-        assert soft_cross_entropy([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-9)
+        one_hot = np.array([[1.0, 0.0, 0.0]])
+        assert batch_soft_cross_entropy(one_hot, one_hot) == pytest.approx(0.0, abs=1e-9)
 
     def test_half_mass_on_gold(self):
-        assert soft_cross_entropy([0.5, 0.3, 0.2], [1.0, 0.0, 0.0]) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
+        assert batch_soft_cross_entropy(
+            np.array([[0.5, 0.3, 0.2]]), np.array([[1.0, 0.0, 0.0]])
+        ) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_bounded_below_by_target_entropy(self):
         # CE(t, p) = H(t) + KL(t || p) >= H(t), equality iff p = t
         rng = np.random.default_rng(5)
         for _ in range(50):
-            t = rng.dirichlet(np.ones(4))
-            p = rng.dirichlet(np.ones(4))
+            t = rng.dirichlet(np.ones(4), size=1)
+            p = rng.dirichlet(np.ones(4), size=1)
             h_t = -np.sum(t[t > 0] * np.log(t[t > 0]))
-            assert soft_cross_entropy(p, t) >= h_t - 1e-12
-            assert soft_cross_entropy(t, t) == pytest.approx(h_t, abs=1e-12)
+            assert batch_soft_cross_entropy(p, t) >= h_t - 1e-12
+            assert batch_soft_cross_entropy(t, t) == pytest.approx(h_t, abs=1e-12)
 
 
 class TestGradBatch:
@@ -206,15 +206,19 @@ class TestMultilabelHead:
         assert np.all(S > 0) and np.all(S < 1)
 
     def test_bce_perfect_prediction(self):
-        scores = np.array([1 - 1e-12, 1e-12, 1e-12])
-        assert multilabel_bce(scores, {0}) == pytest.approx(0.0, abs=1e-9)
+        scores = np.array([[1 - 1e-12, 1e-12, 1e-12]])
+        assert batch_multilabel_bce(scores, np.array([[1.0, 0.0, 0.0]])) == pytest.approx(
+            0.0, abs=1e-9
+        )
 
     def test_bce_single_positive_at_half(self):
-        assert multilabel_bce(np.array([0.5]), {0}) == pytest.approx(math.log(2), abs=1e-12)
+        assert batch_multilabel_bce(np.array([[0.5]]), np.array([[1.0]])) == pytest.approx(
+            math.log(2), abs=1e-12
+        )
 
     def test_bce_negative_down_weighting(self):
         # one negative at score 0.5: loss = w_neg * ln 2 / n_types
-        assert multilabel_bce(np.array([0.5]), set(), w_neg=0.1) == pytest.approx(
+        assert batch_multilabel_bce(np.array([[0.5]]), np.array([[0.0]]), w_neg=0.1) == pytest.approx(
             0.1 * math.log(2), abs=1e-12
         )
 
@@ -225,10 +229,8 @@ class TestMultilabelHead:
             params = init_params(4, (5,), 6, head="sigmoid", seed=trial)
             X = rng.normal(size=(3, 4))
             Y = (rng.random((3, 6)) < 0.4).astype(float)
-            loss, grads = grad_batch_multilabel(params, X, Y, w_neg=0.1)
-            numeric = finite_difference(
-                params, lambda: grad_batch_multilabel(params, X, Y, 0.1)[0]
-            )
+            loss, grads = grad_batch(params, X, Y, w_neg=0.1)
+            numeric = finite_difference(params, lambda: grad_batch(params, X, Y, 0.1)[0])
             worst = max(worst, max_rel_err(grads, numeric))
         assert worst < 1e-4
 

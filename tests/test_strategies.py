@@ -10,9 +10,12 @@ from mixbudget.corpus import AnnotatedExample, CorpusSplit, LabelVocab
 from mixbudget.model import (
     ClassifierParams,
     batch_soft_cross_entropy,
+    forward_multilabel,
     forward_softmax,
     init_params,
+    predict_types,
 )
+from mixbudget import strategies
 from mixbudget.strategies import (
     MixPairing,
     MixupConfig,
@@ -24,7 +27,6 @@ from mixbudget.strategies import (
     draw_pairing,
     make_targets,
     mix_batches,
-    mix_pair,
     pseudo_label,
     ramp_alpha,
     run_strategy,
@@ -101,25 +103,25 @@ class TestMakeTargets:
 
 class TestMixPair:
     def test_endpoints_exact(self):
-        a = (np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-        b = (np.array([-3.0, 5.0]), np.array([0.0, 1.0]))
-        xm, ym = mix_pair(a, b, 1.0)
+        a = (np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]))
+        b = (np.array([[-3.0, 5.0]]), np.array([[0.0, 1.0]]))
+        xm, ym = mix_batches(a, b, 1.0)
         assert np.array_equal(xm, a[0]) and np.array_equal(ym, a[1])
-        xm, ym = mix_pair(a, b, 0.0)
+        xm, ym = mix_batches(a, b, 0.0)
         assert np.array_equal(xm, b[0]) and np.array_equal(ym, b[1])
 
     def test_midpoint(self):
-        a = (np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-        b = (np.array([0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
-        xm, ym = mix_pair(a, b, 0.5)
-        assert np.allclose(xm, [0.5, 0.5])
-        assert np.allclose(ym, [0.5, 0.5, 0.0])
+        a = (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
+        b = (np.array([[0.0, 1.0]]), np.array([[0.0, 1.0, 0.0]]))
+        xm, ym = mix_batches(a, b, 0.5)
+        assert np.allclose(xm, [[0.5, 0.5]])
+        assert np.allclose(ym, [[0.5, 0.5, 0.0]])
 
     def test_lambda_out_of_range(self):
-        a = (np.zeros(2), np.array([1.0, 0.0]))
+        a = (np.zeros((1, 2)), np.array([[1.0, 0.0]]))
         for lam in (-0.1, 1.5):
             with pytest.raises(StrategyError, match="lambda"):
-                mix_pair(a, a, lam)
+                mix_batches(a, a, lam)
 
     def test_target_normalization_preserved(self):
         rng = np.random.default_rng(2)
@@ -177,6 +179,13 @@ class TestPseudoLabel:
         params.head = "sigmoid"
         y = pseudo_label(params, np.array([3.0, -3.0, 3.0]))
         assert np.array_equal(y, [1.0, 0.0, 1.0])
+        # a batch, with a row scoring no type above 0.5: the array rule
+        # must agree with predict_types row by row
+        X = np.array([[3.0, -3.0, 3.0], [-1.0, -0.2, -2.0], [0.1, 0.0, -0.1]])
+        Y = pseudo_label(params, X)
+        for row, scores in zip(Y, forward_multilabel(params, X)):
+            assert set(np.flatnonzero(row).tolist()) == predict_types(scores)
+        assert np.array_equal(Y[1], [0.0, 1.0, 0.0])
 
 
 class TestLambdaDistribution:
@@ -388,6 +397,15 @@ class TestRunStrategy:
         path = tmp_path / "log.jsonl"
         log.write(path)
         assert TrainLog.read(path).entries == log.entries
+
+    def test_non_finite_step_is_never_applied(self, monkeypatch):
+        split = toy_split(n_s=1)
+        split.singles[0].features[1] = np.nan
+        calls = []
+        monkeypatch.setattr(strategies, "adam_step", lambda *a: calls.append(a))
+        with pytest.raises(StrategyError, match="non-finite"):
+            run_strategy(spec_for("ce_curriculum"), split, VOCAB)
+        assert calls == []
 
     def test_input_dropout_changes_trajectory(self):
         split = toy_split()

@@ -55,6 +55,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     softmax,
+    vocab_hash,
 )
 from .strategies import MixupConfig, StrategySpec, run_strategy
 
@@ -257,7 +258,11 @@ def _load_params(cfg: dict, seed: int):
     path = run_dir(cfg, seed) / "checkpoint.bin"
     if not path.exists():
         raise ConfigError(f"checkpoint not found at {path} (run train first?)")
-    params, _ = load_checkpoint(path)
+    params, header = load_checkpoint(path)
+    expected = vocab_hash(resolve_vocab(cfg).names)
+    if header["vocab_hash"] != expected:
+        raise ConfigError(f"checkpoint at {path} was trained on another vocab than {cfg['vocab']} "
+                          f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
     return params
 
 

@@ -56,10 +56,14 @@ def validate_distribution(probs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
         raise CorpusError(f"distribution must be 1-D, got shape {p.shape}")
-    if np.any(p < -tol) or np.any(p > 1 + tol):
+    # Python floats: on a few entries per corpus record this is several
+    # times faster than numpy reductions
+    values = p.tolist()
+    if not all(-tol <= v <= 1 + tol for v in values):  # NaN fails too
         raise CorpusError("distribution entries must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > tol:
-        raise CorpusError(f"distribution sums to {p.sum()!r}, expected 1")
+    total = sum(values)
+    if abs(total - 1.0) > tol:
+        raise CorpusError(f"distribution sums to {total!r}, expected 1")
     return p
 
 
@@ -391,7 +395,17 @@ def record_to_example(rec: dict, vocab: LabelVocab) -> AnnotatedExample:
         annotations = [vocab.index(name) for name in rec.get("labels", [])]
     except CorpusError as e:
         raise CorpusError(f"record {uid}: {e}") from None
+    x = np.asarray(rec["x"], dtype=np.float64)
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise CorpusError(f"record {uid}: 'x' must be a 1-D vector of finite numbers")
     true_dist = rec.get("true_dist")
+    if true_dist is not None:
+        try:
+            true_dist = validate_distribution(true_dist)
+        except CorpusError as e:
+            raise CorpusError(f"record {uid}: true_dist: {e}") from None
+        if len(true_dist) != vocab.size:
+            raise CorpusError(f"record {uid}: true_dist has {len(true_dist)} entries, vocab has {vocab.size}")
     old_label = rec.get("old_label")
     counter = rec.get("label_counter")
     if old_label is not None and old_label not in vocab.names:
@@ -402,9 +416,9 @@ def record_to_example(rec: dict, vocab: LabelVocab) -> AnnotatedExample:
                 raise CorpusError(f"record {uid}: counter label {name!r} not in vocab")
     return AnnotatedExample(
         uid=uid,
-        features=np.asarray(rec["x"], dtype=np.float64),
+        features=x,
         annotations=annotations,
-        true_dist=None if true_dist is None else np.asarray(true_dist, dtype=np.float64),
+        true_dist=true_dist,
         old_label=None if old_label is None else vocab.index(old_label),
         label_counter=None
         if counter is None
@@ -430,5 +444,9 @@ def load_corpus(path, vocab: LabelVocab) -> list[AnnotatedExample]:
                 raise CorpusError(f"{path}: malformed record on line {lineno}: {e}") from None
             if not isinstance(rec, dict):
                 raise CorpusError(f"{path}: malformed record on line {lineno}: not an object")
-            pool.append(record_to_example(rec, vocab))
+            ex = record_to_example(rec, vocab)
+            if pool and len(ex.features) != len(pool[0].features):
+                raise CorpusError(f"{path}: line {lineno} has {len(ex.features)} features, "
+                                  f"the first record has {len(pool[0].features)}")
+            pool.append(ex)
     return pool

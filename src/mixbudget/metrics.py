@@ -199,7 +199,9 @@ def evaluate_distribution(
     kl_direction: str = "human_model",
 ) -> EvalReport:
     """Assemble the distribution-task report. Summary metrics are exact
-    means of the per-example records."""
+    means of the per-example records. ``acc_old``/``acc_new`` (and the
+    per-row ``correct_old``/``correct_new``) are omitted when no example
+    carries ``old_label`` or ``label_counter``; if only some do, it raises."""
     P = np.atleast_2d(np.asarray(pred_dists, dtype=np.float64))
     if len(P) != len(examples):
         raise MetricsError("predictions and examples differ in length")
@@ -220,13 +222,15 @@ def evaluate_distribution(
                 "pred_entropy": entropy(row),
             }
         )
-    acc_old, acc_new = accuracy_old_new(P, examples)
-    for rec, row, ex in zip(per, P, examples):
-        counts = np.zeros(k_classes)
-        for label, n in ex.label_counter.items():
-            counts[label] = n
-        rec["correct_old"] = int(int(np.argmax(row)) == ex.old_label)
-        rec["correct_new"] = int(int(np.argmax(row)) == int(np.argmax(counts)))
+    acc_old = acc_new = None
+    if any(ex.old_label is not None or ex.label_counter for ex in examples):
+        acc_old, acc_new = accuracy_old_new(P, examples)
+        for rec, row, ex in zip(per, P, examples):
+            counts = np.zeros(k_classes)
+            for label, n in ex.label_counter.items():
+                counts[label] = n
+            rec["correct_old"] = int(int(np.argmax(row)) == ex.old_label)
+            rec["correct_new"] = int(int(np.argmax(row)) == int(np.argmax(counts)))
 
     hist = entropy_histogram(P, k_classes, n_bins)
     return EvalReport(

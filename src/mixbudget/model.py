@@ -19,8 +19,10 @@ PRED_CLAMP = 1e-12  # floor for probabilities inside logs
 
 @dataclass
 class ClassifierParams:
-    """MLP weights/biases. ``weights[i]`` has shape (n_in, n_out); hidden
-    activations are tanh, the final layer is raw logits."""
+    """MLP weights/biases, held in one float64 vector ``flat`` laid out in
+    ``arrays()`` order; ``weights[i]`` (shape (n_in, n_out)) and
+    ``biases[i]`` are views into it. Hidden activations are tanh, the
+    final layer is raw logits."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -34,6 +36,9 @@ class ClassifierParams:
         for W, b in zip(self.weights, self.biases):
             if W.shape[1] != b.shape[0]:
                 raise ValueError(f"bias shape {b.shape} does not match weight {W.shape}")
+        self.flat = np.concatenate([np.ravel(a) for a in self.arrays()], dtype=np.float64)
+        views = self.views(self.flat)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def n_in(self) -> int:
@@ -44,19 +49,23 @@ class ClassifierParams:
         return self.weights[-1].shape[1]
 
     def arrays(self) -> list[np.ndarray]:
-        """Flat parameter list, interleaved [W0, b0, W1, b1, ...]."""
+        """Parameter arrays, interleaved [W0, b0, W1, b1, ...]."""
         out = []
         for W, b in zip(self.weights, self.biases):
             out.append(W)
             out.append(b)
         return out
 
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like ``flat``, one per ``arrays()`` entry."""
+        out, start = [], 0
+        for a in self.arrays():
+            out.append(vec[start:start + a.size].reshape(a.shape))
+            start += a.size
+        return out
+
     def copy(self) -> "ClassifierParams":
-        return ClassifierParams(
-            weights=[W.copy() for W in self.weights],
-            biases=[b.copy() for b in self.biases],
-            head=self.head,
-        )
+        return ClassifierParams(self.weights, self.biases, self.head)
 
 
 def init_params(
@@ -226,26 +235,27 @@ HEADS = {
 # gradients
 # ---------------------------------------------------------------------------
 
-def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ_out: np.ndarray):
-    """Backpropagate a final-layer logit gradient through the tanh stack."""
-    grads: list[np.ndarray] = []
+def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ_out: np.ndarray) -> np.ndarray:
+    """Backpropagate a final-layer logit gradient through the tanh stack
+    into one gradient vector laid out like ``params.flat``."""
+    grad = np.empty_like(params.flat)
+    views = params.views(grad)
     dZ = dZ_out
     for i in range(len(params.weights) - 1, -1, -1):
-        a_in = acts[i]
-        grads.insert(0, dZ.sum(axis=0))          # db
-        grads.insert(0, a_in.T @ dZ)             # dW
+        np.matmul(acts[i].T, dZ, out=views[2 * i])   # dW
+        dZ.sum(axis=0, out=views[2 * i + 1])         # db
         if i > 0:
             dA = dZ @ params.weights[i].T
-            dZ = dA * (1.0 - acts[i] ** 2)       # tanh'
-    return grads
+            dZ = dA * (1.0 - acts[i] ** 2)           # tanh'
+    return grad
 
 
-def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1) -> tuple[float, list[np.ndarray]]:
+def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1) -> tuple[float, np.ndarray]:
     """Loss and analytic gradient of the head's mean batch loss: soft
     cross-entropy (softmax head) or down-weighted multi-label BCE (sigmoid
-    head, negatives weighted by ``w_neg``). Gradients are returned as a
-    flat list aligned with ``params.arrays()``. Valid while predictions sit
-    above the clamp, which holds everywhere the loss is finite anyway.
+    head, negatives weighted by ``w_neg``). The gradient is one vector
+    laid out like ``params.flat``. Valid while predictions sit above the
+    clamp, which holds everywhere the loss is finite anyway.
     """
     head = HEADS[params.head]
     X = np.atleast_2d(_check_input(params, X))
@@ -263,10 +273,11 @@ def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1) -> tuple[floa
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators for Adam with bias correction."""
+    """Moment vectors for Adam with bias correction, laid out like
+    ``ClassifierParams.flat``."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-5
     beta1: float = 0.9
@@ -275,39 +286,32 @@ class AdamState:
 
 
 def init_adam(params: ClassifierParams, lr: float = 1e-5) -> AdamState:
-    arrays = params.arrays()
-    return AdamState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        lr=lr,
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
-def adam_step(params: ClassifierParams, state: AdamState, grads: list[np.ndarray]) -> None:
-    """One Adam update, in place on both ``params`` and ``state``."""
-    arrays = params.arrays()
-    if len(grads) != len(arrays):
-        raise ValueError("gradient structure does not match parameters")
+def adam_step(params: ClassifierParams, state: AdamState, grad: np.ndarray) -> None:
+    """One Adam update, in place on both ``params`` and ``state``; ``grad``
+    is laid out like ``params.flat``."""
+    if np.shape(grad) != params.flat.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} does not match parameters {params.flat.shape}")
     state.step += 1
     t = state.step
-    for a, m, v, g in zip(arrays, state.m, state.v, grads):
-        if a.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {a.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        a -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1**t)
+    v_hat = state.v / (1.0 - state.beta2**t)
+    params.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 # Format: one UTF-8 JSON header line (shapes, head, vocab hash, seed),
-# then the raw little-endian float64 bytes of every parameter array in
-# ``params.arrays()`` order. Lossless and byte-stable for fixed inputs.
+# then ``params.flat`` as raw little-endian float64 bytes, i.e. every
+# parameter array in ``params.arrays()`` order. Lossless and byte-stable
+# for fixed inputs.
 
 def vocab_hash(names) -> str:
     return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()[:16]
@@ -323,8 +327,7 @@ def save_checkpoint(params: ClassifierParams, path, vocab_names, seed: int) -> N
     }
     with open(path, "wb") as f:
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for a in params.arrays():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        f.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ClassifierParams, dict]:
@@ -332,13 +335,12 @@ def load_checkpoint(path) -> tuple[ClassifierParams, dict]:
         header = json.loads(f.readline().decode("utf-8"))
         if header.get("format") != "mixbudget-checkpoint-v1":
             raise ValueError(f"{path}: not a recognized checkpoint file")
-        arrays = []
-        for shape in header["shapes"]:
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(n * 8)
-            if len(buf) != n * 8:
-                raise ValueError(f"{path}: truncated checkpoint")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    weights = arrays[0::2]
-    biases = arrays[1::2]
-    return ClassifierParams(weights=weights, biases=biases, head=header["head"]), header
+        body = f.read()
+    shapes = header["shapes"]
+    n_bytes = 8 * sum(int(np.prod(shape)) for shape in shapes)
+    if len(body) != n_bytes:
+        raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, its shapes need {n_bytes}")
+    params = ClassifierParams(weights=[np.empty(s) for s in shapes[0::2]],
+                              biases=[np.empty(s) for s in shapes[1::2]], head=header["head"])
+    params.flat[:] = np.frombuffer(body, dtype="<f8")
+    return params, header

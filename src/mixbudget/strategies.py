@@ -260,7 +260,7 @@ def composite_loss_and_grad(
     the mean batch loss on its mixed batch (soft cross-entropy for the
     softmax head, down-weighted BCE for the sigmoid head).
     """
-    grads = None
+    grad = np.zeros_like(params.flat)
     total = 0.0
     components = {}
     for term, (Xm, Ym) in term_batches.items():
@@ -269,12 +269,8 @@ def composite_loss_and_grad(
         weight = 1.0 if set_a == set_b else alpha
         components[term] = loss
         total += weight * loss
-        if grads is None:
-            grads = [weight * gi for gi in g]
-        else:
-            for acc, gi in zip(grads, g):
-                acc += weight * gi
-    return total, grads, components
+        grad += weight * g
+    return total, grad, components
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +325,9 @@ def _maybe_input_dropout(rng, X, p):
     return X * mask / (1.0 - p)
 
 
-def _abort_if_not_finite(loss, grads, it, log):
+def _abort_if_not_finite(loss, grad, it, log):
     # checked before the update, so a bad step is never applied
-    if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
         tail = json.dumps(log[-5:])
         raise StrategyError(f"non-finite loss or gradient at iteration {it}; log tail: {tail}")
 
@@ -369,13 +365,13 @@ def run_strategy(
                 pairing = draw_pairing(rng, terms, cfg.batch_size, cfg)
                 alpha = ramp_alpha(it, cfg)
                 term_batches = apply_pairing(batches, pairing)
-                loss, grads, comps = composite_loss_and_grad(params, term_batches, alpha, spec.w_neg)
+                loss, grad, comps = composite_loss_and_grad(params, term_batches, alpha, spec.w_neg)
             else:
                 ((X, Y),) = batches.values()
-                loss, grads = grad_batch(params, X, Y, spec.w_neg)
+                loss, grad = grad_batch(params, X, Y, spec.w_neg)
                 alpha, comps = 0.0, {}
-            _abort_if_not_finite(loss, grads, it, log)
-            adam_step(params, adam, grads)
+            _abort_if_not_finite(loss, grad, it, log)
+            adam_step(params, adam, grad)
             log.append({"iter": it, "phase": phase, "alpha": alpha, "loss": loss, **comps})
 
     return params, TrainLog(log)

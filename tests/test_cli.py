@@ -136,6 +136,19 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert "checkpoint" in json.loads(err)["error"]
 
+    def test_eval_rejects_reordered_vocab_file(self, tmp_path, capsys):
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("E\nN\nC\n")
+        cfg, path = self.prepared(tmp_path, vocab={"path": str(vocab_file)})
+        assert run_cli("train", "--config", str(path)) == 0
+        # same names, new order: every path-hashed directory is unchanged
+        vocab_file.write_text("C\nN\nE\n")
+        assert run_cli("eval", "--config", str(path)) == 1
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "another vocab" in json.loads(err)["error"]
+        assert str(vocab_file) in json.loads(err)["error"]
+        assert not (cli.run_dir(cfg, 0) / "report.jsonl").exists()
+
     def test_untrained_uniform_model_matches_direct_metrics(self, tmp_path):
         cfg, path = self.prepared(tmp_path)
         # zero weights emit the uniform distribution for every input

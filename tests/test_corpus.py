@@ -293,6 +293,27 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="u9"):
             load_corpus(path, VOCAB)
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"x": [float("nan"), 1.0]}, "'x' must be a 1-D vector of finite numbers"),
+        ({"x": [0.0, 1.0], "true_dist": [3, 9, 1]}, "true_dist: distribution entries"),
+        ({"x": [0.0, 1.0], "true_dist": [float("nan"), 0.5, 0.5]}, "true_dist: distribution entries"),
+        ({"x": [0.0, 1.0], "true_dist": [0.2, 0.2, 0.2]}, "true_dist: distribution sums"),
+        ({"x": [0.0, 1.0], "true_dist": [0.5, 0.5]}, "true_dist has 2 entries, vocab has 3"),
+    ])
+    def test_bad_values_name_uid(self, tmp_path, fields, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"uid": "u3", "labels": [], **fields}) + "\n")
+        with pytest.raises(CorpusError, match=f"u3: {match}"):
+            load_corpus(path, VOCAB)
+
+    def test_feature_dimension_change_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        rows = ([0.0, 1.0], [2.0, 3.0], [4.0])
+        path.write_text("".join(json.dumps({"uid": f"u{i}", "x": x, "labels": []}) + "\n"
+                                for i, x in enumerate(rows)))
+        with pytest.raises(CorpusError, match="line 3 has 1 features, the first record has 2"):
+            load_corpus(path, VOCAB)
+
     def test_dense_counter_record(self, tmp_path):
         rec = {
             "uid": "c1",

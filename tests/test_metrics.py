@@ -241,6 +241,23 @@ class TestEvalReport:
         expected = np.mean([kl_div(ex.true_dist, p) for ex, p in zip(exs, preds)])
         assert report.kl == pytest.approx(expected, abs=1e-12)
 
+    def test_true_dist_only_corpus_omits_accuracy(self):
+        rng = np.random.default_rng(6)
+        exs = [AnnotatedExample(f"u{i}", np.zeros(2), [], true_dist=rng.dirichlet(np.ones(3)))
+               for i in range(5)]
+        preds = rng.dirichlet(np.ones(3), size=5)
+        report = evaluate_distribution(preds, exs, 3, gold_source="true_dist")
+        summary = report.summary()
+        assert "acc_old" not in summary and "acc_new" not in summary
+        for rec in report.per_example:
+            assert "correct_old" not in rec and "correct_new" not in rec
+        expected = np.mean([kl_div(ex.true_dist, p) for ex, p in zip(exs, preds)])
+        assert report.kl == pytest.approx(expected, abs=1e-12)
+        # vote fields on only some examples still fail, naming the first without
+        exs[2] = eval_example("u2", true_dist=exs[2].true_dist)
+        with pytest.raises(MetricsError, match="u0: missing old_label"):
+            evaluate_distribution(preds, exs, 3, gold_source="true_dist")
+
     def test_file_round_trip(self, tmp_path):
         report, _, _ = self.make_report()
         path = tmp_path / "report.jsonl"

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mixbudget.corpus import SyntheticConfig, generate_synthetic_pool
 from mixbudget.model import (
+    HEADS,
     ClassifierParams,
     adam_step,
     batch_multilabel_bce,
@@ -35,29 +38,23 @@ def zero_net(d, hidden, k, head="softmax"):
 
 
 def finite_difference(params, loss_fn, h=1e-5):
-    """Central finite differences over every parameter coordinate."""
-    grads = []
-    for a in params.arrays():
-        g = np.zeros_like(a)
-        flat, gflat = a.ravel(), g.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            lp = loss_fn()
-            flat[j] = orig - h
-            lm = loss_fn()
-            flat[j] = orig
-            gflat[j] = (lp - lm) / (2 * h)
-        grads.append(g)
-    return grads
+    """Central finite differences over every coordinate of ``params.flat``."""
+    flat = params.flat
+    g = np.zeros_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        lp = loss_fn()
+        flat[j] = orig - h
+        lm = loss_fn()
+        flat[j] = orig
+        g[j] = (lp - lm) / (2 * h)
+    return g
 
 
 def max_rel_err(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 class TestForwardSoftmax:
@@ -154,7 +151,7 @@ class TestAdam:
         params = init_params(3, (4,), 2, seed=0)
         state = init_adam(params, lr=0.1)
         before = [a.copy() for a in params.arrays()]
-        adam_step(params, state, [np.zeros_like(a) for a in params.arrays()])
+        adam_step(params, state, np.zeros_like(params.flat))
         assert state.step == 1
         for a, b in zip(params.arrays(), before):
             assert np.array_equal(a, b)
@@ -166,7 +163,7 @@ class TestAdam:
         state = init_adam(params, lr=0.01)
         gW = np.array([[0.3, -0.7], [0.0, 2.0]])
         gb = np.array([-1.0, 0.25])
-        adam_step(params, state, [gW, gb])
+        adam_step(params, state, np.concatenate([gW.ravel(), gb]))
         # from zero moments: m_hat = g, v_hat = g^2, step = lr*g/(|g|+eps)
         for before, after, g in ((W, params.weights[0], gW), (b, params.biases[0], gb)):
             expected = before - 0.01 * g / (np.abs(g) + 1e-8)
@@ -181,7 +178,7 @@ class TestAdam:
         g = np.random.default_rng(5).normal(size=(3, 3))
         gb = np.random.default_rng(6).normal(size=3)
         for _ in range(3):
-            adam_step(params, state, [g, gb, g, gb])
+            adam_step(params, state, np.concatenate([g.ravel(), gb, g.ravel(), gb]))
         assert np.array_equal(params.weights[0], params.weights[1])
         assert np.array_equal(params.biases[0], params.biases[1])
 
@@ -260,6 +257,26 @@ class TestCheckpoint:
         assert loaded.head == params.head
         for a, b in zip(loaded.arrays(), params.arrays()):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hidden=st.lists(st.integers(1, 6), max_size=3), head=st.sampled_from(sorted(HEADS)),
+           seed=st.integers(0, 1000), n_bytes=st.integers(1, 16))
+    def test_round_trip_byte_stable_and_body_length_checked(self, tmp_path, hidden, head, seed, n_bytes):
+        names = ("a", "b", "c", "d")
+        params = init_params(3, tuple(hidden), len(names), head, seed=seed)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path, names, seed=seed)
+        saved = path.read_bytes()
+        loaded, _ = load_checkpoint(path)
+        assert loaded.head == head
+        assert np.array_equal(loaded.flat, params.flat)
+        save_checkpoint(loaded, path, names, seed=seed)
+        assert path.read_bytes() == saved
+        for bad in (saved[:-n_bytes], saved + b"\0" * n_bytes):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="checkpoint body"):
+                load_checkpoint(path)
 
     def test_vocab_hash_changes_with_vocab(self, tmp_path):
         params = init_params(2, (), 2, seed=0)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibrate as cal
+from .atomic import atomic_write
 from .corpus import (
     BudgetPlan,
     CorpusSplit,
@@ -92,10 +93,12 @@ def canonical_hash(obj) -> str:
 
 def config_hash(cfg: dict) -> str:
     # outdir/seeds/workers don't change what a run computes, and eval_path
-    # is an evaluation-time pointer (out-of-domain evaluation reuses the
-    # checkpoint trained under the same config)
+    # and the metric settings act at evaluation time only (out-of-domain or
+    # differently scored evaluation reuses the checkpoint trained under the
+    # same config)
     core = {k: v for k, v in cfg.items()
-            if k not in ("outdir", "seeds", "workers", "eval_path")}
+            if k not in ("outdir", "seeds", "workers", "eval_path",
+                         "histogram_bins", "gold_source", "kl_direction", "threshold")}
     return canonical_hash(core)
 
 
@@ -172,7 +175,7 @@ def build_strategy(cfg: dict, seed: int) -> StrategySpec:
 
 def _write_json(path: Path, obj: dict) -> dict:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
     return obj
@@ -363,8 +366,11 @@ def _sweep_worker(cfg_json: str, seed: int) -> dict:
 
 def summarize_seeds(summaries: list[dict], seeds: list[int]) -> dict:
     metrics = {}
-    for key in sorted(summaries[0]):
+    for key in sorted(set().union(*summaries)):
         values = [s.get(key) for s in summaries]
+        missing = [seed for seed, s in zip(seeds, summaries) if key not in s]
+        if missing and any(isinstance(v, (int, float)) for v in values):
+            raise ConfigError(f"metric {key!r} is missing from the report of seed {missing[0]}")
         if all(isinstance(v, (int, float)) for v in values):
             arr = np.asarray(values, dtype=np.float64)
             std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0

@@ -10,14 +10,16 @@ tradeoffs can be measured exactly.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import atomic_write
+
 RESERVOIR_SIZE = 100      # annotations drawn per synthetic example
 OLD_LABEL_WAYS = 5        # annotator count behind the "old" majority label
 PROTOTYPE_SCALE = 4.0     # length of the per-class feature prototypes
+GENERATE_BLOCK_ROWS = 32  # rows per block of synthetic annotator draws
 
 SELECTION_STRATEGIES = ("random", "low_entropy", "high_entropy")
 
@@ -315,38 +317,50 @@ def generate_synthetic_pool(config: SyntheticConfig) -> list[AnnotatedExample]:
     reservoir of 100 annotations is drawn i.i.d. from Categorical(p*).
     ``label_counter`` tallies the reservoir and ``old_label`` is the
     majority of 5 extra annotator draws (ties to the lowest index).
-    Deterministic given ``config.seed``.
+
+    Deterministic given ``config.seed``. Each drawn field (flag, dominant
+    class, Gammas, feature noise, annotator draws) has its own stream and
+    consumes it row by row, so the first m rows of an n-row pool are the
+    m-row pool.
     """
-    rng = np.random.default_rng(config.seed)
-    k, d = config.k_classes, config.d_feat
-    protos = class_prototypes(k, d)
+    n, k, d = config.n_examples, config.k_classes, config.d_feat
+    flag_rng, class_rng, gamma_rng, noise_rng, label_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5))
+    ambiguous = flag_rng.random(n) < config.ambiguous_fraction
+    # a Dirichlet row is a row of Gammas over its sum, drawn here in place of
+    # the concentrations; the other classes sit at concentration 1, so no row
+    # sums to 0
+    true_dist = np.ones((n, k))
+    true_dist[np.arange(n), class_rng.integers(k, size=n)] = np.where(
+        ambiguous, config.dirichlet_flat, config.dirichlet_sharp)
+    gamma_rng.standard_gamma(true_dist, out=true_dist)
+    true_dist /= true_dist.sum(axis=1, keepdims=True)
+    X = true_dist @ class_prototypes(k, d)
+    if config.feature_noise_sigma > 0:
+        X += noise_rng.normal(0.0, config.feature_noise_sigma, size=(n, d))
+
+    # annotator draws, a block of rows at a time to bound the temporaries:
+    # inverse-CDF draws as rng.choice(k, p=...) makes them, the class being
+    # the number of inner CDF knots at or below the uniform
     pool = []
-    for i in range(config.n_examples):
-        ambiguous = rng.random() < config.ambiguous_fraction
-        conc = config.dirichlet_flat if ambiguous else config.dirichlet_sharp
-        alpha = np.ones(k)
-        alpha[rng.integers(k)] = conc
-        true_dist = rng.dirichlet(alpha)
-
-        x = true_dist @ protos
-        if config.feature_noise_sigma > 0:
-            x = x + rng.normal(0.0, config.feature_noise_sigma, size=d)
-
-        reservoir = rng.choice(k, size=RESERVOIR_SIZE, p=true_dist)
-        old_draws = rng.choice(k, size=OLD_LABEL_WAYS, p=true_dist)
-        old_label = int(np.argmax(np.bincount(old_draws, minlength=k)))
-        counter = Counter(int(a) for a in reservoir)
-
-        pool.append(
-            AnnotatedExample(
+    for lo in range(0, n, GENERATE_BLOCK_ROWS):
+        hi = min(lo + GENERATE_BLOCK_ROWS, n)
+        u = label_rng.random((hi - lo, RESERVOIR_SIZE + OLD_LABEL_WAYS))
+        knots = np.cumsum(true_dist[lo:hi, :-1], axis=1)
+        draws = (knots[:, None, :] <= u[:, :, None]).sum(axis=2)
+        onehot = draws[:, :, None] == np.arange(k)
+        counts = onehot[:, :RESERVOIR_SIZE].sum(axis=1).tolist()
+        old_labels = onehot[:, RESERVOIR_SIZE:].sum(axis=1).argmax(axis=1).tolist()  # first max
+        for i, reservoir, row, old in zip(range(lo, hi), draws[:, :RESERVOIR_SIZE].tolist(),
+                                          counts, old_labels):
+            pool.append(AnnotatedExample(
                 uid=f"ex-{config.seed}-{i:06d}",
-                features=x,
-                annotations=[int(a) for a in reservoir],
-                true_dist=true_dist,
-                old_label=old_label,
-                label_counter={c: counter[c] for c in sorted(counter)},
-            )
-        )
+                features=X[i],
+                annotations=reservoir,
+                true_dist=true_dist[i],
+                old_label=old,
+                label_counter={c: m for c, m in enumerate(row) if m},
+            ))
     return pool
 
 
@@ -359,7 +373,7 @@ def generate_synthetic_pool(config: SyntheticConfig) -> list[AnnotatedExample]:
 # name per line in canonical order.
 
 def save_vocab(vocab: LabelVocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for name in vocab.names:
             f.write(name + "\n")
 
@@ -427,7 +441,7 @@ def record_to_example(rec: dict, vocab: LabelVocab) -> AnnotatedExample:
 
 
 def save_corpus(pool: list[AnnotatedExample], path, vocab: LabelVocab) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for ex in pool:
             f.write(json.dumps(example_to_record(ex, vocab), sort_keys=True) + "\n")
 
@@ -444,7 +458,10 @@ def load_corpus(path, vocab: LabelVocab) -> list[AnnotatedExample]:
                 raise CorpusError(f"{path}: malformed record on line {lineno}: {e}") from None
             if not isinstance(rec, dict):
                 raise CorpusError(f"{path}: malformed record on line {lineno}: not an object")
-            ex = record_to_example(rec, vocab)
+            try:
+                ex = record_to_example(rec, vocab)
+            except CorpusError as e:
+                raise CorpusError(f"{path}: line {lineno}: {e}") from None
             if pool and len(ex.features) != len(pool[0].features):
                 raise CorpusError(f"{path}: line {lineno} has {len(ex.features)} features, "
                                   f"the first record has {len(pool[0].features)}")

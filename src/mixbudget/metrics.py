@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
+
 KL_CLAMP = 1e-10
 
 
@@ -282,7 +284,7 @@ def evaluate_typing(score_rows, gold_sets, uids, threshold: float = 0.5) -> Eval
 # ---------------------------------------------------------------------------
 
 def write_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(json.dumps(report.summary(), sort_keys=True) + "\n")
         for rec in report.per_example:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -297,7 +299,7 @@ def write_histogram_csv(report: EvalReport, path) -> None:
     if report.entropy_histogram is None:
         raise MetricsError("report carries no entropy histogram")
     edges = report.entropy_bin_edges
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["bin_left", "bin_right", "count"])
         for left, right, count in zip(edges[:-1], edges[1:], report.entropy_histogram):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
+
 PRED_CLAMP = 1e-12  # floor for probabilities inside logs
 
 
@@ -325,7 +327,7 @@ def save_checkpoint(params: ClassifierParams, path, vocab_names, seed: int) -> N
         "vocab_hash": vocab_hash(vocab_names),
         "seed": seed,
     }
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         f.write(params.flat.astype("<f8").tobytes())
 

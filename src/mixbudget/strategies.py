@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .corpus import CorpusSplit, LabelVocab, aggregate_annotations
 from .model import (
     HEADS,
@@ -120,7 +121,7 @@ class TrainLog:
     entries: list[dict] = field(default_factory=list)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for e in self.entries:
                 f.write(json.dumps(e, sort_keys=True) + "\n")
 

@@ -149,6 +149,16 @@ class TestTrainEval:
         assert str(vocab_file) in json.loads(err)["error"]
         assert not (cli.run_dir(cfg, 0) / "report.jsonl").exists()
 
+    def test_eval_only_settings_keep_the_run_directory(self, tmp_path):
+        cfg, path = self.prepared(tmp_path)
+        assert run_cli("train", "--config", str(path)) == 0
+        scored = dict(cfg, histogram_bins=10, gold_source="true_dist",
+                      kl_direction="model_human", threshold=0.3)
+        assert cli.run_dir(scored, 0) == cli.run_dir(cfg, 0)
+        assert run_cli("eval", "--config", str(write_config(tmp_path, scored, "scored.json"))) == 0
+        with open(cli.run_dir(cfg, 0) / "histogram.csv") as f:
+            assert len(f.readlines()) == 1 + 10
+
     def test_untrained_uniform_model_matches_direct_metrics(self, tmp_path):
         cfg, path = self.prepared(tmp_path)
         # zero weights emit the uniform distribution for every input
@@ -284,6 +294,31 @@ class TestSweep:
         before = summary_path.read_bytes()
         assert run_cli("report", "--config", str(path)) == 0
         assert summary_path.read_bytes() == before
+
+
+    @pytest.mark.parametrize("summaries", [
+        [{"kl": 0.1}, {"kl": 0.2, "jsd": 0.05}],
+        [{"kl": 0.1, "jsd": 0.05}, {"kl": 0.2}],
+    ])
+    def test_summary_names_a_metric_missing_from_a_seed(self, summaries):
+        with pytest.raises(cli.ConfigError, match="'jsd' is missing from the report of seed"):
+            cli.summarize_seeds(summaries, [3, 4])
+
+    def test_report_with_a_metric_missing_fails_with_error_line(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, seeds=[0, 1])
+        path = write_config(tmp_path, cfg)
+        run_cli("gen", "--config", str(path))
+        run_cli("split", "--config", str(path))
+        run_cli("sweep", "--config", str(path))
+        report = cli.run_dir(cfg, 1) / "report.jsonl"
+        lines = report.read_text().splitlines(keepends=True)
+        summary = json.loads(lines[0])
+        del summary["jsd"]
+        report.write_text(json.dumps(summary) + "\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        assert run_cli("report", "--config", str(path)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [json.dumps({"error": "ConfigError: metric 'jsd' is missing from the report of seed 1"})]
 
 
 class TestTypingTask:

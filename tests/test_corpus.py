@@ -1,10 +1,14 @@
 """Corpus tests: aggregation, budget allocation, synthetic pools, file I/O."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixbudget.atomic import atomic_write
 from mixbudget.corpus import (
     AnnotatedExample,
     BudgetPlan,
@@ -20,6 +24,7 @@ from mixbudget.corpus import (
     save_corpus,
     save_vocab,
     split_manifest,
+    validate_distribution,
 )
 
 VOCAB = LabelVocab(("E", "N", "C"))
@@ -259,6 +264,38 @@ class TestGenerateSyntheticPool:
         with pytest.raises(CorpusError):
             SyntheticConfig(n_examples=10, k_classes=3, d_feat=3, ambiguous_fraction=1.5, seed=0)
 
+    @pytest.mark.parametrize("m, n", [(2000, 2300), (1, 5)])
+    def test_prefix_stable(self, m, n):
+        # the CLI slices pool and eval from one pool, so a longer pool must
+        # start with the shorter one
+        cfg = dict(k_classes=3, d_feat=8, ambiguous_fraction=0.5, seed=11)
+        short = generate_synthetic_pool(SyntheticConfig(n_examples=m, **cfg))
+        long = generate_synthetic_pool(SyntheticConfig(n_examples=n, **cfg))
+        assert long[:m] == short
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), k=st.integers(2, 6), extra_d=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pool_invariants(self, n, k, extra_d, seed):
+        cfg = SyntheticConfig(n_examples=n, k_classes=k, d_feat=k + extra_d, seed=seed)
+        pool = generate_synthetic_pool(cfg)
+        assert len(pool) == n
+        for i, ex in enumerate(pool):
+            assert ex.uid == f"ex-{seed}-{i:06d}"
+            assert ex.features.shape == (k + extra_d,)
+            assert len(validate_distribution(ex.true_dist)) == k
+            counts = np.bincount(ex.annotations, minlength=k)
+            assert len(counts) == k and counts.sum() == 100
+            assert ex.label_counter == {c: int(m) for c, m in enumerate(counts) if m}
+            assert 0 <= ex.old_label < k
+        assert generate_synthetic_pool(cfg) == pool
+
+    def test_reservoir_frequencies_match_mean_true_dist(self):
+        pool = generate_synthetic_pool(SyntheticConfig(n_examples=4000, k_classes=3, d_feat=3, seed=4))
+        freq = np.bincount(np.concatenate([ex.annotations for ex in pool]), minlength=3) / (4000 * 100)
+        mean_true = np.mean([ex.true_dist for ex in pool], axis=0)
+        assert np.abs(freq - mean_true).max() < 0.01
+
 
 class TestCorpusIO:
     def test_round_trip_identity(self, tmp_path):
@@ -306,6 +343,18 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match=f"u3: {match}"):
             load_corpus(path, VOCAB)
 
+    @pytest.mark.parametrize("record, match", [
+        ({"x": [0.0]}, "record is missing a string 'uid' field"),
+        ({"uid": "a", "x": [0.0], "labels": ["Q"]}, "record a: label 'Q' not in vocab"),
+    ])
+    def test_record_errors_name_file_and_line(self, tmp_path, record, match):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"uid": "u1", "x": [0.0], "labels": []})
+        path.write_text(good + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, VOCAB)
+        assert str(info.value) == f"{path}: line 2: {match}"
+
     def test_feature_dimension_change_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rows = ([0.0, 1.0], [2.0, 3.0], [4.0])
@@ -335,3 +384,27 @@ class TestCorpusIO:
         path = tmp_path / "vocab.txt"
         save_vocab(VOCAB, path)
         assert load_vocab(path) == VOCAB
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as f:
+                f.write("new, half written")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["artifact.txt"]
+
+    def test_failed_save_corpus_keeps_old_corpus(self, tmp_path):
+        path = tmp_path / "pool.jsonl"
+        pool = make_pool(3)
+        save_corpus(pool, path, VOCAB)
+        before = path.read_bytes()
+        bad = make_pool(3, seed=1)
+        bad[2].annotations = [7]  # no such label: fails after two records are written
+        with pytest.raises(IndexError):
+            save_corpus(bad, path, VOCAB)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["pool.jsonl"]

@@ -11,7 +11,9 @@ config's output directory:
     <outdir>/<confighash>/summary.json       per-seed mean / stddev
 
 Every command is deterministic given (config, seed) and writes no
-timestamps, so re-runs are byte-identical.
+timestamps, so re-runs are byte-identical. Each command imports only the
+modules it runs (``gen``, ``split`` and ``report`` load no training code),
+and a serial sweep reads its inputs once for all seeds.
 """
 from __future__ import annotations
 
@@ -19,46 +21,19 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import calibrate as cal
 from .atomic import atomic_write
-from .corpus import (
-    BudgetPlan,
-    CorpusSplit,
-    LabelVocab,
-    SyntheticConfig,
-    allocate_budget,
-    generate_synthetic_pool,
-    load_corpus,
-    load_vocab,
-    save_corpus,
-    save_vocab,
-    split_manifest,
-)
-from .metrics import (
-    EvalReport,
-    entropy_rows,
-    evaluate_distribution,
-    evaluate_typing,
-    gold_distribution,
-    read_report_summary,
-    write_histogram_csv,
-    write_report,
-)
-from .model import (
-    forward_logits,
-    forward_scores,
-    load_checkpoint,
-    save_checkpoint,
-    softmax,
-    vocab_hash,
-)
-from .strategies import MixupConfig, StrategySpec, run_strategy
+
+if TYPE_CHECKING:  # for annotations; each command imports what it runs
+    from .corpus import BudgetPlan, CorpusSplit, LabelVocab
+    from .metrics import EvalReport
+    from .strategies import StrategySpec
 
 TASKS = ("distribution", "typing")
 
@@ -103,6 +78,8 @@ def config_hash(cfg: dict) -> str:
 
 
 def resolve_vocab(cfg: dict) -> LabelVocab:
+    from .corpus import LabelVocab, load_vocab
+
     spec = cfg["vocab"]
     if isinstance(spec, list):
         return LabelVocab(tuple(spec))
@@ -150,12 +127,16 @@ def _known_keys(cls, section: dict, name: str) -> dict:
 
 
 def build_plan(cfg: dict) -> BudgetPlan:
+    from .corpus import BudgetPlan
+
     if "plan" not in cfg:
         raise ConfigError("config has no budget plan")
     return BudgetPlan(**_known_keys(BudgetPlan, cfg["plan"], "plan"))
 
 
 def build_strategy(cfg: dict, seed: int) -> StrategySpec:
+    from .strategies import MixupConfig, StrategySpec
+
     if "strategy" not in cfg:
         raise ConfigError("config has no strategy")
     raw = _known_keys(StrategySpec, cfg["strategy"], "strategy")
@@ -182,6 +163,8 @@ def _write_json(path: Path, obj: dict) -> dict:
 
 
 def cmd_gen(cfg: dict) -> dict:
+    from .corpus import SyntheticConfig, generate_synthetic_pool, save_corpus, save_vocab
+
     corpus = cfg["corpus"]
     if "synthetic" not in corpus:
         raise ConfigError("gen needs a synthetic corpus section")
@@ -204,6 +187,8 @@ def cmd_gen(cfg: dict) -> dict:
 
 
 def cmd_split(cfg: dict) -> dict:
+    from .corpus import allocate_budget, load_corpus, save_corpus, split_manifest
+
     vocab = resolve_vocab(cfg)
     path = pool_path(cfg)
     if not path.exists():
@@ -222,47 +207,70 @@ def cmd_split(cfg: dict) -> dict:
     return _write_json(out / "manifest.json", manifest)
 
 
-def _load_split(cfg: dict, vocab: LabelVocab) -> CorpusSplit:
-    out = split_dir(cfg)
-    if not (out / "manifest.json").exists():
-        raise ConfigError(f"split not found under {out} (run split first?)")
-    return CorpusSplit(
-        singles=load_corpus(out / "singles.jsonl", vocab),
-        multis=load_corpus(out / "multis.jsonl", vocab),
-        unlabeled=load_corpus(out / "unlabeled.jsonl", vocab),
-    )
+class _Inputs:
+    """A config's vocab, and its split and eval corpus read on first use, so
+    one command, or one serial sweep over every seed, reads each file once."""
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.vocab = resolve_vocab(cfg)
+
+    @cached_property
+    def split(self) -> CorpusSplit:
+        from .corpus import CorpusSplit, load_corpus
+
+        out = split_dir(self.cfg)
+        if not (out / "manifest.json").exists():
+            raise ConfigError(f"split not found under {out} (run split first?)")
+        return CorpusSplit(
+            singles=load_corpus(out / "singles.jsonl", self.vocab),
+            multis=load_corpus(out / "multis.jsonl", self.vocab),
+            unlabeled=load_corpus(out / "unlabeled.jsonl", self.vocab),
+        )
+
+    @cached_property
+    def eval_set(self) -> list:
+        from .corpus import load_corpus
+
+        path = eval_path(self.cfg)
+        if not path.exists():
+            raise ConfigError(f"eval corpus not found at {path}")
+        examples = load_corpus(path, self.vocab)
+        if not examples:
+            raise ConfigError(f"eval corpus at {path} is empty")
+        return examples
+
+
+def _train(cfg: dict, seed: int, inputs: _Inputs):
+    """Train one seed and write its checkpoint and trainlog; returns the
+    trained params and the command's summary."""
+    from .model import save_checkpoint
+    from .strategies import run_strategy
+
+    split = inputs.split
+    spec = build_strategy(cfg, seed)
+    params, log = run_strategy(spec, split, inputs.vocab)
+    out = run_dir(cfg, seed)
+    out.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(params, out / "checkpoint.bin", inputs.vocab.names, seed)
+    log.write(out / "trainlog.jsonl")
+    return params, {"checkpoint": str(out / "checkpoint.bin"),
+                    "iterations": len(log.entries),
+                    "final_loss": log.entries[-1]["loss"]}
 
 
 def cmd_train(cfg: dict, seed: int) -> dict:
-    vocab = resolve_vocab(cfg)
-    split = _load_split(cfg, vocab)
-    spec = build_strategy(cfg, seed)
-    params, log = run_strategy(spec, split, vocab)
-    out = run_dir(cfg, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, out / "checkpoint.bin", vocab.names, seed)
-    log.write(out / "trainlog.jsonl")
-    return {"checkpoint": str(out / "checkpoint.bin"),
-            "iterations": len(log.entries),
-            "final_loss": log.entries[-1]["loss"]}
+    return _train(cfg, seed, _Inputs(cfg))[1]
 
 
-def _load_eval(cfg: dict, vocab: LabelVocab):
-    path = eval_path(cfg)
-    if not path.exists():
-        raise ConfigError(f"eval corpus not found at {path}")
-    examples = load_corpus(path, vocab)
-    if not examples:
-        raise ConfigError(f"eval corpus at {path} is empty")
-    return examples
+def _load_params(cfg: dict, seed: int, vocab: LabelVocab):
+    from .model import load_checkpoint, vocab_hash
 
-
-def _load_params(cfg: dict, seed: int):
     path = run_dir(cfg, seed) / "checkpoint.bin"
     if not path.exists():
         raise ConfigError(f"checkpoint not found at {path} (run train first?)")
     params, header = load_checkpoint(path)
-    expected = vocab_hash(resolve_vocab(cfg).names)
+    expected = vocab_hash(vocab.names)
     if header["vocab_hash"] != expected:
         raise ConfigError(f"checkpoint at {path} was trained on another vocab than {cfg['vocab']} "
                           f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
@@ -270,6 +278,8 @@ def _load_params(cfg: dict, seed: int):
 
 
 def _distribution_report(cfg, P, examples, vocab) -> EvalReport:
+    from .metrics import evaluate_distribution
+
     return evaluate_distribution(
         P,
         examples,
@@ -280,14 +290,19 @@ def _distribution_report(cfg, P, examples, vocab) -> EvalReport:
     )
 
 
-def cmd_eval(cfg: dict, seed: int) -> dict:
-    vocab = resolve_vocab(cfg)
-    examples = _load_eval(cfg, vocab)
-    params = _load_params(cfg, seed)
+def cmd_eval(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -> dict:
+    """Evaluate ``params``, or the seed's checkpoint when none are given."""
+    from .metrics import evaluate_typing, write_histogram_csv, write_report
+    from .model import forward_scores
+
+    inputs = inputs or _Inputs(cfg)
+    examples = inputs.eval_set
+    if params is None:
+        params = _load_params(cfg, seed, inputs.vocab)
     out = run_dir(cfg, seed)
     scores = forward_scores(params, np.stack([ex.features for ex in examples]))
     if cfg["task"] == "distribution":
-        report = _distribution_report(cfg, scores, examples, vocab)
+        report = _distribution_report(cfg, scores, examples, inputs.vocab)
         write_histogram_csv(report, out / "histogram.csv")
     else:
         gold_sets = [set(ex.annotations) for ex in examples]
@@ -297,16 +312,22 @@ def cmd_eval(cfg: dict, seed: int) -> dict:
     return report.summary()
 
 
-def cmd_calibrate(cfg: dict, seed: int) -> dict:
+def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -> dict:
+    """Calibrate ``params``, or the seed's checkpoint when none are given."""
+    from . import calibrate as cal
+    from .metrics import entropy_rows, gold_distribution, write_report
+    from .model import forward_logits, forward_scores, softmax
+
     if cfg["task"] != "distribution":
         raise ConfigError("calibration supports the distribution task only")
     if "calibration" not in cfg:
         raise ConfigError("config has no calibration section")
     method = cfg["calibration"]["method"]
     cal.CalibrationConfig(method=method)  # validates the name
-    vocab = resolve_vocab(cfg)
-    examples = _load_eval(cfg, vocab)
-    params = _load_params(cfg, seed)
+    inputs = inputs or _Inputs(cfg)
+    vocab, examples = inputs.vocab, inputs.eval_set
+    if params is None:
+        params = _load_params(cfg, seed, vocab)
     X = np.stack([ex.features for ex in examples])
     logits = forward_logits(params, X)
     raw_preds = softmax(logits)
@@ -333,11 +354,12 @@ def cmd_calibrate(cfg: dict, seed: int) -> dict:
         tuned = tune(raw_preds)
         preds = cal.pred_smooth(raw_preds, tuned.scalar)
     else:  # train_smoothing: tune on the one-hot single targets, retrain
+        from .strategies import run_strategy
+
         onehots = np.eye(vocab.size)[:1]  # all one-hot rows smooth identically
         tuned = tune(onehots)
-        split = _load_split(cfg, vocab)
         spec = replace(build_strategy(cfg, seed), train_smooth_mass=tuned.scalar)
-        params, _ = run_strategy(spec, split, vocab)
+        params, _ = run_strategy(spec, inputs.split, vocab)
         preds = forward_scores(params, X)
 
     report = _distribution_report(cfg, preds, examples, vocab)
@@ -355,13 +377,46 @@ def cmd_calibrate(cfg: dict, seed: int) -> dict:
     return report.summary()
 
 
+def _run_seed(cfg: dict, seed: int, inputs: _Inputs) -> dict:
+    """Train, eval and (if configured) calibrate one seed, keeping its
+    params in memory; returns the eval summary."""
+    params, _ = _train(cfg, seed, inputs)
+    summary = cmd_eval(cfg, seed, inputs, params)
+    if "calibration" in cfg:
+        cmd_calibrate(cfg, seed, inputs, params)
+    return summary
+
+
 def _sweep_worker(cfg_json: str, seed: int) -> dict:
     cfg = json.loads(cfg_json)
-    cmd_train(cfg, seed)
-    summary = cmd_eval(cfg, seed)
-    if "calibration" in cfg:
-        cmd_calibrate(cfg, seed)
-    return summary
+    return _run_seed(cfg, seed, _Inputs(cfg))
+
+
+# names of the OpenBLAS thread-count setter across its builds
+BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Sweep-worker initializer: run the loaded OpenBLAS on one thread, so
+    that parallel workers do not oversubscribe the CPUs. Does nothing when
+    no OpenBLAS library is loaded."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split(None, 5)[5].strip() for line in f
+                           if "openblas" in line.lower()})
+    except OSError:  # no /proc/self/maps on this platform
+        return
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in BLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
 
 
 def summarize_seeds(summaries: list[dict], seeds: list[int]) -> dict:
@@ -382,17 +437,21 @@ def cmd_sweep(cfg: dict) -> dict:
     seeds = cfg["seeds"]
     workers = cfg.get("workers")
     n_workers = len(seeds) if workers is None else int(workers)
-    cfg_json = json.dumps(cfg)
     if n_workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            summaries = list(pool.map(_sweep_worker, [cfg_json] * len(seeds), seeds))
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
+            summaries = list(pool.map(_sweep_worker, [json.dumps(cfg)] * len(seeds), seeds))
     else:
-        summaries = [_sweep_worker(cfg_json, seed) for seed in seeds]
+        inputs = _Inputs(cfg)
+        summaries = [_run_seed(cfg, seed, inputs) for seed in seeds]
     summary = summarize_seeds(summaries, seeds)
     return _write_json(Path(cfg["outdir"]) / config_hash(cfg) / "summary.json", summary)
 
 
 def cmd_report(cfg: dict) -> dict:
+    from .metrics import read_report_summary
+
     summaries = []
     for seed in cfg["seeds"]:
         path = run_dir(cfg, seed) / "report.jsonl"

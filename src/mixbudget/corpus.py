@@ -34,6 +34,7 @@ class LabelVocab:
     tie-break order used everywhere a winner must be picked among equals."""
 
     names: tuple[str, ...]
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) == 0:
@@ -41,6 +42,7 @@ class LabelVocab:
         if len(set(self.names)) != len(self.names):
             raise CorpusError("vocab names must be unique")
         object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "_positions", {name: i for i, name in enumerate(self.names)})
 
     @property
     def size(self) -> int:
@@ -48,8 +50,8 @@ class LabelVocab:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
             raise CorpusError(f"label {name!r} not in vocab") from None
 
 

@@ -126,12 +126,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows; min(z, -z) rather than -|z| keeps the
+    # sign and payload of a NaN, so every output bit matches the two-branch
+    # form 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) for z < 0
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def forward_softmax(params: ClassifierParams, x) -> np.ndarray:

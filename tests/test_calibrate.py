@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbudget.calibrate import (
     CalibrationConfig,
@@ -42,6 +44,18 @@ class TestTempScale:
         base = np.argmax(logits, axis=1)
         for T in (1e-3, 0.1, 1.0, 7.0, 1e3):
             assert np.array_equal(np.argmax(temp_scale(logits, T), axis=1), base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(logits=st.lists(st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+                           min_size=1, max_size=6),
+           T=st.floats(1e-3, 1e3))
+    def test_argmax_preserved_property(self, logits, T):
+        # each row's argmax keeps the row's largest probability; logits closer
+        # than the float resolution (0 and 1e-127, say) may become a tie
+        Z = np.array(logits)
+        P = temp_scale(Z, T)
+        rows = np.arange(len(Z))
+        assert np.array_equal(P[rows, np.argmax(Z, axis=1)], P.max(axis=1))
 
 
 class TestPredSmooth:

@@ -1,6 +1,10 @@
 """End-to-end CLI tests: gen, split, train, eval, calibrate, sweep, report."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,20 +273,36 @@ class TestSweep:
             assert (cli.run_dir(cfg, seed) / "report.jsonl").exists()
 
     def test_parallel_matches_serial(self, tmp_path):
+        # a serial sweep keeps params in memory and reads its inputs once; a
+        # parallel one reads them per seed; the per-seed commands read every
+        # artifact from disk: all three must write the same bytes
         serial = base_config(tmp_path, seeds=[0, 1], workers=1,
-                             outdir=str(tmp_path / "serial"))
-        parallel = json.loads(json.dumps(serial))
-        parallel["workers"] = 2
-        parallel["outdir"] = str(tmp_path / "parallel")
+                             outdir=str(tmp_path / "serial"),
+                             calibration={"method": "temp_scaling", "target_entropy": None})
+        parallel = {**serial, "workers": 2, "outdir": str(tmp_path / "parallel")}
+        per_seed = {**serial, "outdir": str(tmp_path / "per_seed")}
         ps = write_config(tmp_path, serial, "serial.json")
         pp = write_config(tmp_path, parallel, "parallel.json")
+        pc = write_config(tmp_path, per_seed, "per_seed.json")
+        for p in (ps, pp, pc):
+            assert run_cli("gen", "--config", str(p)) == 0
+            assert run_cli("split", "--config", str(p)) == 0
         for p in (ps, pp):
-            run_cli("gen", "--config", str(p))
-            run_cli("split", "--config", str(p))
             assert run_cli("sweep", "--config", str(p)) == 0
-        rs = (cli.run_dir(serial, 0) / "report.jsonl").read_bytes()
-        rp = (cli.run_dir(parallel, 0) / "report.jsonl").read_bytes()
-        assert rs == rp
+        for seed in ("0", "1"):
+            for command in ("train", "eval", "calibrate"):
+                assert run_cli(command, "--config", str(pc), "--seed", seed) == 0
+        assert run_cli("report", "--config", str(pc)) == 0
+        files = ("checkpoint.bin", "trainlog.jsonl", "report.jsonl",
+                 "report_calibrated.jsonl", "histogram.csv")
+        for seed in (0, 1):
+            for name in files:
+                want = (cli.run_dir(serial, seed) / name).read_bytes()
+                for other in (parallel, per_seed):
+                    assert (cli.run_dir(other, seed) / name).read_bytes() == want, (seed, name)
+        want = (cli.run_dir(serial, 0).parent / "summary.json").read_bytes()
+        for other in (parallel, per_seed):
+            assert (cli.run_dir(other, 0).parent / "summary.json").read_bytes() == want
 
     def test_report_command_reaggregates(self, tmp_path):
         cfg = base_config(tmp_path, seeds=[0, 1])
@@ -366,6 +386,35 @@ class TestTypingTask:
         assert run_cli("gen", "--config", str(path)) == 1
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert "distribution" in json.loads(err)["error"]
+
+
+class TestImports:
+    """Each command loads only the modules it runs, seen from a cold process."""
+
+    def modules_after(self, tmp_path, command, config) -> set:
+        script = ("import json, sys\n"
+                  "from mixbudget import cli\n"
+                  "assert cli.main([sys.argv[1], '--config', sys.argv[2]]) == 0\n"
+                  "print(json.dumps(sorted(sys.modules)))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script, command, str(config)], env=env,
+                             cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+        return set(json.loads(out.splitlines()[-1]))
+
+    def test_data_commands_load_no_training_code(self, tmp_path):
+        cfg = base_config(tmp_path, seeds=[0, 1], workers=1)
+        path = write_config(tmp_path, cfg)
+        data_modules = {"mixbudget", "mixbudget.cli", "mixbudget.atomic", "mixbudget.corpus"}
+        for command in ("gen", "split"):
+            loaded = self.modules_after(tmp_path, command, path)
+            assert {m for m in loaded if m.startswith("mixbudget")} == data_modules, command
+            assert "concurrent.futures" not in loaded, command
+        assert run_cli("sweep", "--config", str(path)) == 0
+        loaded = self.modules_after(tmp_path, "report", path)
+        assert {m for m in loaded if m.startswith("mixbudget")} == {
+            "mixbudget", "mixbudget.cli", "mixbudget.atomic", "mixbudget.metrics"}
+        assert "mixbudget.strategies" not in loaded
 
 
 class TestConfigValidation:

@@ -135,6 +135,32 @@ class TestAllocateBudget:
         uids = [ex.uid for ex in split.singles + split.multis + split.unlabeled]
         assert len(uids) == len(set(uids))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), selection=st.sampled_from(["random", "low_entropy", "high_entropy"]))
+    def test_exact_budget_over_random_plans(self, data, selection):
+        n_pool = data.draw(st.integers(1, 60), label="n_pool")
+        reservoir = data.draw(st.integers(1, 12), label="reservoir")
+        k = data.draw(st.integers(1, reservoir), label="k_per_multi")
+        n_multi = data.draw(st.integers(0, n_pool), label="n_multi")
+        n_single = data.draw(st.integers(0, n_pool - n_multi), label="n_single")
+        n_unlabeled = data.draw(st.integers(0, n_pool), label="n_unlabeled")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        pool = make_pool(n_pool, n_annotations=reservoir, seed=seed % 1000)
+        plan = BudgetPlan(n_single + k * n_multi, n_single, n_multi, k,
+                          n_unlabeled=n_unlabeled, selection_strategy=selection)
+        split = allocate_budget(pool, plan, seed=seed, vocab=VOCAB)
+        assert split.label_total() == plan.total_labels
+        assert [len(ex.annotations) for ex in split.singles] == [1] * n_single
+        assert [len(ex.annotations) for ex in split.multis] == [k] * n_multi
+        assert len(split.unlabeled) == min(n_unlabeled, n_pool - n_single - n_multi)
+        assert all(not ex.annotations for ex in split.unlabeled)
+        uids = [ex.uid for ex in split.singles + split.multis + split.unlabeled]
+        assert len(uids) == len(set(uids))
+        # every set's annotations are a sub-multiset of the example's reservoir
+        reservoirs = {ex.uid: np.bincount(ex.annotations, minlength=3) for ex in pool}
+        for ex in split.singles + split.multis:
+            assert np.all(np.bincount(ex.annotations, minlength=3) <= reservoirs[ex.uid])
+
     def test_deterministic_given_seed(self):
         pool = make_pool(120)
         plan = BudgetPlan(100, 60, 4, 10, n_unlabeled=20)
@@ -346,6 +372,8 @@ class TestCorpusIO:
     @pytest.mark.parametrize("record, match", [
         ({"x": [0.0]}, "record is missing a string 'uid' field"),
         ({"uid": "a", "x": [0.0], "labels": ["Q"]}, "record a: label 'Q' not in vocab"),
+        ({"uid": "a", "x": [0.0], "labels": [["E"]]}, "record a: label ['E'] not in vocab"),
+        ({"uid": "a", "x": [0.0], "labels": [None]}, "record a: label None not in vocab"),
     ])
     def test_record_errors_name_file_and_line(self, tmp_path, record, match):
         path = tmp_path / "bad.jsonl"

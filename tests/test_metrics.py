@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from mixbudget.calibrate import temp_scale
@@ -81,6 +83,16 @@ class TestJSD:
             q = rng.dirichlet(np.ones(3))
             assert jsd(p, q) == pytest.approx(jsd(q, p), abs=1e-15)
             assert 0.0 <= jsd(p, q) <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 8))
+    def test_symmetric_and_bounded_property(self, data, k):
+        # unnormalised non-negative rows, zeros included, scaled to sum 1
+        weights = st.lists(st.floats(0.0, 1e6), min_size=k, max_size=k).filter(lambda v: sum(v) > 0)
+        p, q = (np.array(data.draw(weights)) for _ in range(2))
+        p, q = p / p.sum(), q / q.sum()
+        assert jsd(p, q) == jsd(q, p)
+        assert 0.0 <= jsd(p, q) <= 1.0
 
     def test_matches_independent_recomputation(self):
         # scipy's jensenshannon returns the square root of the divergence

@@ -1,6 +1,7 @@
 """Model tests: forward heads, losses, analytic gradients, Adam, checkpoints."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mixbudget.model import (
     load_checkpoint,
     predict_types,
     save_checkpoint,
+    sigmoid,
 )
 
 
@@ -201,6 +203,24 @@ class TestMultilabelHead:
         params = init_params(6, (12,), 9, head="sigmoid", seed=1)
         S = forward_multilabel(params, rng.normal(size=(30, 6)))
         assert np.all(S > 0) and np.all(S < 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40)
+           .map(lambda v: np.array(v + [0.0, -0.0, 800.0, -800.0, math.inf, -math.inf, math.nan])))
+    def test_sigmoid_equals_two_branch_form(self, z):
+        # reference: the two-branch form, exp taken only where it cannot overflow
+        want = np.empty_like(z)
+        pos = z >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sigmoid(z)
+            batch = sigmoid(np.tile(z, (3, 1)))
+        # bit for bit, NaN sign and payload included
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(batch.view(np.uint64), np.tile(want, (3, 1)).view(np.uint64))
 
     def test_bce_perfect_prediction(self):
         scores = np.array([[1 - 1e-12, 1e-12, 1e-12]])

@@ -13,7 +13,7 @@ config's output directory:
 Every command is deterministic given (config, seed) and writes no
 timestamps, so re-runs are byte-identical. Each command imports only the
 modules it runs (``gen``, ``split`` and ``report`` load no training code),
-and a serial sweep reads its inputs once for all seeds.
+and a sweep reads its inputs once for all seeds, before forking workers.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from .atomic import atomic_write
 
 if TYPE_CHECKING:  # for annotations; each command imports what it runs
-    from .corpus import BudgetPlan, CorpusSplit, LabelVocab
+    from .corpus import BudgetPlan, Corpus, CorpusSplit, LabelVocab
     from .metrics import EvalReport
     from .strategies import StrategySpec
 
@@ -173,10 +173,7 @@ def cmd_gen(cfg: dict) -> dict:
     vocab = resolve_vocab(cfg)
     n_eval = int(corpus.get("n_eval", 0))
     syn = SyntheticConfig(**{**corpus["synthetic"], "k_classes": vocab.size})
-    full = SyntheticConfig(**{**corpus["synthetic"],
-                              "k_classes": vocab.size,
-                              "n_examples": syn.n_examples + n_eval})
-    pool = generate_synthetic_pool(full)
+    pool = generate_synthetic_pool(replace(syn, n_examples=syn.n_examples + n_eval))
     out = data_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(pool[: syn.n_examples], out / "pool.jsonl", vocab)
@@ -198,12 +195,10 @@ def cmd_split(cfg: dict) -> dict:
     split = allocate_budget(pool, plan, int(cfg.get("split_seed", 0)), vocab)
     out = split_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    save_corpus(split.singles, out / "singles.jsonl", vocab)
-    save_corpus(split.multis, out / "multis.jsonl", vocab)
-    save_corpus(split.unlabeled, out / "unlabeled.jsonl", vocab)
+    for name, part in vars(split).items():
+        save_corpus(part, out / f"{name}.jsonl", vocab)
     manifest = split_manifest(plan, split)
-    manifest["files"] = {name: str(out / f"{name}.jsonl")
-                         for name in ("singles", "multis", "unlabeled")}
+    manifest["files"] = {name: str(out / f"{name}.jsonl") for name in vars(split)}
     return _write_json(out / "manifest.json", manifest)
 
 
@@ -222,21 +217,18 @@ class _Inputs:
         out = split_dir(self.cfg)
         if not (out / "manifest.json").exists():
             raise ConfigError(f"split not found under {out} (run split first?)")
-        return CorpusSplit(
-            singles=load_corpus(out / "singles.jsonl", self.vocab),
-            multis=load_corpus(out / "multis.jsonl", self.vocab),
-            unlabeled=load_corpus(out / "unlabeled.jsonl", self.vocab),
-        )
+        return CorpusSplit(*(load_corpus(out / f"{part.name}.jsonl", self.vocab)
+                             for part in fields(CorpusSplit)))
 
     @cached_property
-    def eval_set(self) -> list:
+    def eval_set(self) -> Corpus:
         from .corpus import load_corpus
 
         path = eval_path(self.cfg)
         if not path.exists():
             raise ConfigError(f"eval corpus not found at {path}")
         examples = load_corpus(path, self.vocab)
-        if not examples:
+        if not len(examples):
             raise ConfigError(f"eval corpus at {path} is empty")
         return examples
 
@@ -280,14 +272,9 @@ def _load_params(cfg: dict, seed: int, vocab: LabelVocab):
 def _distribution_report(cfg, P, examples, vocab) -> EvalReport:
     from .metrics import evaluate_distribution
 
-    return evaluate_distribution(
-        P,
-        examples,
-        vocab.size,
-        n_bins=int(cfg.get("histogram_bins", 20)),
-        gold_source=cfg.get("gold_source", "counter"),
-        kl_direction=cfg.get("kl_direction", "human_model"),
-    )
+    return evaluate_distribution(P, examples, vocab.size, n_bins=int(cfg.get("histogram_bins", 20)),
+                                 gold_source=cfg.get("gold_source", "counter"),
+                                 kl_direction=cfg.get("kl_direction", "human_model"))
 
 
 def cmd_eval(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -> dict:
@@ -300,13 +287,13 @@ def cmd_eval(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -
     if params is None:
         params = _load_params(cfg, seed, inputs.vocab)
     out = run_dir(cfg, seed)
-    scores = forward_scores(params, np.stack([ex.features for ex in examples]))
+    scores = forward_scores(params, examples.X)
     if cfg["task"] == "distribution":
         report = _distribution_report(cfg, scores, examples, inputs.vocab)
         write_histogram_csv(report, out / "histogram.csv")
     else:
-        gold_sets = [set(ex.annotations) for ex in examples]
-        report = evaluate_typing(scores, gold_sets, [ex.uid for ex in examples],
+        gold_sets = [set(row) for row in examples.annotation_lists()]
+        report = evaluate_typing(scores, gold_sets, examples.uid.tolist(),
                                  threshold=float(cfg.get("threshold", 0.5)))
     write_report(report, out / "report.jsonl")
     return report.summary()
@@ -315,7 +302,7 @@ def cmd_eval(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -
 def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -> dict:
     """Calibrate ``params``, or the seed's checkpoint when none are given."""
     from . import calibrate as cal
-    from .metrics import entropy_rows, gold_distribution, write_report
+    from .metrics import entropy_rows, gold_rows, write_report
     from .model import forward_logits, forward_scores, softmax
 
     if cfg["task"] != "distribution":
@@ -328,16 +315,12 @@ def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=No
     vocab, examples = inputs.vocab, inputs.eval_set
     if params is None:
         params = _load_params(cfg, seed, vocab)
-    X = np.stack([ex.features for ex in examples])
-    logits = forward_logits(params, X)
+    logits = forward_logits(params, examples.X)
     raw_preds = softmax(logits)
 
     target = cfg["calibration"].get("target_entropy")
     if target is None:
-        gold = np.stack(
-            [gold_distribution(ex, vocab.size, cfg.get("gold_source", "counter"))
-             for ex in examples]
-        )
+        gold = gold_rows(examples, vocab.size, cfg.get("gold_source", "counter"))
         target = float(np.mean(entropy_rows(gold)))
 
     fixed = cfg["calibration"].get("scalar")
@@ -360,7 +343,7 @@ def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=No
         tuned = tune(onehots)
         spec = replace(build_strategy(cfg, seed), train_smooth_mass=tuned.scalar)
         params, _ = run_strategy(spec, inputs.split, vocab)
-        preds = forward_scores(params, X)
+        preds = forward_scores(params, examples.X)
 
     report = _distribution_report(cfg, preds, examples, vocab)
     report.calibration = {
@@ -387,9 +370,13 @@ def _run_seed(cfg: dict, seed: int, inputs: _Inputs) -> dict:
     return summary
 
 
+# a parallel sweep's inputs, read by the parent and inherited by its workers
+_sweep_inputs: _Inputs | None = None
+
+
 def _sweep_worker(cfg_json: str, seed: int) -> dict:
     cfg = json.loads(cfg_json)
-    return _run_seed(cfg, seed, _Inputs(cfg))
+    return _run_seed(cfg, seed, _sweep_inputs or _Inputs(cfg))
 
 
 # names of the OpenBLAS thread-count setter across its builds
@@ -397,11 +384,13 @@ BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num
                     "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _one_blas_thread() -> None:
-    """Sweep-worker initializer: run the loaded OpenBLAS on one thread, so
-    that parallel workers do not oversubscribe the CPUs. Does nothing when
-    no OpenBLAS library is loaded."""
+def _init_sweep_worker(inputs: _Inputs) -> None:
+    """Sweep-worker initializer: keep the parent's inputs, and run OpenBLAS (if
+    loaded) on one thread, so that parallel workers do not oversubscribe the CPUs."""
     import ctypes
+
+    global _sweep_inputs
+    _sweep_inputs = inputs
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
@@ -437,13 +426,15 @@ def cmd_sweep(cfg: dict) -> dict:
     seeds = cfg["seeds"]
     workers = cfg.get("workers")
     n_workers = len(seeds) if workers is None else int(workers)
+    inputs = _Inputs(cfg)
     if n_workers > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread) as pool:
+        inputs.split, inputs.eval_set  # read once, here; forked workers inherit them
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_sweep_worker,
+                                 initargs=(inputs,)) as pool:
             summaries = list(pool.map(_sweep_worker, [json.dumps(cfg)] * len(seeds), seeds))
     else:
-        inputs = _Inputs(cfg)
         summaries = [_run_seed(cfg, seed, inputs) for seed in seeds]
     summary = summarize_seeds(summaries, seeds)
     return _write_json(Path(cfg["outdir"]) / config_hash(cfg) / "summary.json", summary)
@@ -492,20 +483,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["outdir"] = args.out
         seed = args.seed if args.seed is not None else cfg["seeds"][0]
-        if args.command == "gen":
-            result = cmd_gen(cfg)
-        elif args.command == "split":
-            result = cmd_split(cfg)
-        elif args.command == "train":
-            result = cmd_train(cfg, seed)
-        elif args.command == "eval":
-            result = cmd_eval(cfg, seed)
-        elif args.command == "calibrate":
-            result = cmd_calibrate(cfg, seed)
-        elif args.command == "sweep":
-            result = cmd_sweep(cfg)
-        else:
-            result = cmd_report(cfg)
+        command = globals()[f"cmd_{args.command}"]
+        result = command(cfg, seed) if args.command in ("train", "eval", "calibrate") else command(cfg)
     except Exception as e:  # one machine-readable line per failure
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 1

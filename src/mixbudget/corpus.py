@@ -5,21 +5,26 @@ spends a fixed number of labels on the pool, producing three disjoint sets:
 single-label examples (1 annotation), multi-label examples (k annotations)
 and unlabeled examples (0 annotations). The synthetic generator produces
 pools with known ground-truth label distributions so that budget/objective
-tradeoffs can be measured exactly.
+tradeoffs can be measured exactly. Every stage works on whole columns of
+one ``Corpus``, never row by row.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from array import array
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
 from .atomic import atomic_write
 
-RESERVOIR_SIZE = 100      # annotations drawn per synthetic example
-OLD_LABEL_WAYS = 5        # annotator count behind the "old" majority label
-PROTOTYPE_SCALE = 4.0     # length of the per-class feature prototypes
-GENERATE_BLOCK_ROWS = 32  # rows per block of synthetic annotator draws
+RESERVOIR_SIZE = 100        # annotations drawn per synthetic example
+OLD_LABEL_WAYS = 5          # annotator count behind the "old" majority label
+PROTOTYPE_SCALE = 4.0       # length of the per-class feature prototypes
+BLOCK_ROWS = 256            # rows drawn or saved at a time, to bound the temporaries
+LABEL_DTYPE = np.int16      # label indices, so a vocab holds at most 32768 names
 
 SELECTION_STRATEGIES = ("random", "low_entropy", "high_entropy")
 
@@ -41,6 +46,8 @@ class LabelVocab:
             raise CorpusError("vocab must be non-empty")
         if len(set(self.names)) != len(self.names):
             raise CorpusError("vocab names must be unique")
+        if len(self.names) > np.iinfo(LABEL_DTYPE).max + 1:
+            raise CorpusError(f"vocab has {len(self.names)} names, at most 32768 are supported")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "_positions", {name: i for i, name in enumerate(self.names)})
 
@@ -60,49 +67,113 @@ def validate_distribution(probs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
         raise CorpusError(f"distribution must be 1-D, got shape {p.shape}")
-    # Python floats: on a few entries per corpus record this is several
-    # times faster than numpy reductions
-    values = p.tolist()
-    if not all(-tol <= v <= 1 + tol for v in values):  # NaN fails too
+    if not ((p >= -tol) & (p <= 1 + tol)).all():  # NaN fails too
         raise CorpusError("distribution entries must lie in [0, 1]")
-    total = sum(values)
+    total = float(p.sum())
     if abs(total - 1.0) > tol:
         raise CorpusError(f"distribution sums to {total!r}, expected 1")
     return p
 
 
-@dataclass(eq=False)
-class AnnotatedExample:
-    """One example: a feature vector plus zero or more label annotations.
+# one corpus row, read-only; ``annotations`` is a tuple of label indices
+Example = namedtuple("Example", "uid features annotations")
 
-    ``annotations`` is a multiset of label indices; its length is the
-    example's label cost. ``true_dist`` (synthetic corpora), ``old_label``
-    and ``label_counter`` (evaluation corpora) are optional side channels
-    that training never reads.
-    """
 
-    uid: str
-    features: np.ndarray
-    annotations: list[int] = field(default_factory=list)
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Examples as read-only columns: ``uid`` (n,), features ``X`` (n, d),
+    and each row's annotations in reservoir order, concatenated in
+    ``labels`` with row i at ``labels[offsets[i]:offsets[i + 1]]`` (a row's
+    count is its label cost). ``true_dist`` (n, k), ``old_label`` (n,) and
+    the dense annotation ``counter`` (n, k) are optional side channels that
+    training never reads; a row without one holds NaNs, -1 or zeros there.
+    ``len``, slicing (a slice or an array of row indices) and ``==`` act on
+    rows; iterating yields ``Example`` rows."""
+
+    uid: np.ndarray
+    X: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
     true_dist: np.ndarray | None = None
-    old_label: int | None = None
-    label_counter: dict[int, int] | None = None
+    old_label: np.ndarray | None = None
+    counter: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        dtypes = {"uid": object, "X": np.float64, "labels": LABEL_DTYPE, "offsets": np.int64,
+                  "true_dist": np.float64, "old_label": np.int64, "counter": np.int64}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                value = np.asarray(value, dtype=dtypes[f.name]).view()
+                value.flags.writeable = False
+                object.__setattr__(self, f.name, value)
+        n = len(self.uid)
+        if not (self.X.ndim == 2 and len(self.X) == n and len(self.offsets) == n + 1
+                and self.offsets[0] == 0 and self.offsets[-1] == len(self.labels)):
+            raise CorpusError("corpus columns disagree in length")
+
+    @classmethod
+    def from_rows(cls, uid, X, annotations, true_dist=None, old_label=None, counter=None) -> Corpus:
+        """A corpus whose row i has features ``X[i]`` and the label indices
+        in ``annotations[i]``."""
+        offsets = np.zeros(len(annotations) + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in annotations], out=offsets[1:])
+        labels = np.fromiter(chain.from_iterable(annotations), LABEL_DTYPE, count=offsets[-1])
+        return cls(np.asarray(uid, dtype=object), X, labels, offsets, true_dist, old_label, counter)
+
+    def __len__(self) -> int:
+        return len(self.uid)
+
+    def __getitem__(self, rows) -> Corpus:
+        rows = np.arange(len(self))[rows]
+        starts, lengths = self.offsets[rows], self.lengths[rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        if len(rows) and (np.diff(rows) == 1).all():  # a run of rows: a view of its labels
+            return self.take(rows, self.labels[starts[0] : starts[0] + offsets[-1]], offsets)
+        gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        return self.take(rows, self.labels[gather], offsets)
+
+    def take(self, rows, labels, offsets) -> Corpus:
+        """Rows ``rows``, with ``labels`` at ``offsets`` as their annotations."""
+        return Corpus(self.uid[rows], self.X[rows], labels, offsets,
+                      *(None if c is None else c[rows]
+                        for c in (self.true_dist, self.old_label, self.counter)))
+
+    def __iter__(self):
+        for uid, x, annotations in zip(self.uid.tolist(), self.X, self.annotation_lists()):
+            yield Example(uid, x, tuple(annotations))
 
     def __eq__(self, other):
-        if not isinstance(other, AnnotatedExample):
+        if not isinstance(other, Corpus):
             return NotImplemented
-        if self.uid != other.uid or list(self.annotations) != list(other.annotations):
-            return False
-        if not np.array_equal(self.features, other.features):
-            return False
-        if (self.true_dist is None) != (other.true_dist is None):
-            return False
-        if self.true_dist is not None and not np.array_equal(self.true_dist, other.true_dist):
-            return False
-        return self.old_label == other.old_label and self.label_counter == other.label_counter
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(a is b if a is None or b is None else
+                   np.array_equal(a, b, equal_nan=a.dtype.kind == "f") for a, b in pairs)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def annotation_lists(self) -> list[list[int]]:
+        flat = self.labels.tolist()
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def counts(self, k: int) -> np.ndarray:
+        """(n, k) annotation counts per row, from one bincount."""
+        if len(self.labels) and self.labels.max() >= k:
+            raise CorpusError("annotation index outside vocab")
+        keys = np.repeat(np.arange(len(self)) * k, self.lengths) + self.labels
+        return np.bincount(keys, minlength=len(self) * k).reshape(len(self), k)
+
+    def label_distribution(self, k: int) -> np.ndarray:
+        """(n, k) empirical annotation frequencies per row."""
+        counts = self.counts(k)
+        totals = counts.sum(axis=1, keepdims=True)
+        if not totals.all():
+            raise CorpusError(f"example {self.uid[np.argmin(totals)]}: cannot aggregate zero annotations")
+        return counts / totals
 
 
 @dataclass(frozen=True)
@@ -135,14 +206,12 @@ class BudgetPlan:
 class CorpusSplit:
     """Disjoint single / multi / unlabeled example sets under one plan."""
 
-    singles: list[AnnotatedExample]
-    multis: list[AnnotatedExample]
-    unlabeled: list[AnnotatedExample]
+    singles: Corpus
+    multis: Corpus
+    unlabeled: Corpus
 
     def label_total(self) -> int:
-        return sum(
-            len(ex.annotations) for ex in self.singles + self.multis + self.unlabeled
-        )
+        return sum(len(part.labels) for part in vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -179,46 +248,10 @@ class SyntheticConfig:
 
 
 # ---------------------------------------------------------------------------
-# annotation aggregation
-# ---------------------------------------------------------------------------
-
-def aggregate_annotations(annotations, mode: str, vocab: LabelVocab):
-    """Collapse an annotation multiset into a target.
-
-    ``distribution`` mode returns the empirical frequency vector;
-    ``majority`` mode returns the most frequent label index, ties broken
-    by canonical vocab order (lowest index wins).
-    """
-    anns = list(annotations)
-    if not anns:
-        raise CorpusError("cannot aggregate zero annotations")
-    counts = np.bincount(anns, minlength=vocab.size).astype(np.float64)
-    if len(counts) > vocab.size:
-        raise CorpusError("annotation index outside vocab")
-    if mode == "distribution":
-        return counts / counts.sum()
-    if mode == "majority":
-        return int(np.argmax(counts))  # first max = lowest vocab index
-    raise CorpusError(f"unknown aggregation mode {mode!r}")
-
-
-def annotation_entropy(annotations, vocab: LabelVocab) -> float:
-    """Shannon entropy (nats) of an example's empirical annotation distribution."""
-    dist = aggregate_annotations(annotations, "distribution", vocab)
-    nz = dist[dist > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
-# ---------------------------------------------------------------------------
 # budget allocation
 # ---------------------------------------------------------------------------
 
-def allocate_budget(
-    pool: list[AnnotatedExample],
-    plan: BudgetPlan,
-    seed: int,
-    vocab: LabelVocab,
-) -> CorpusSplit:
+def allocate_budget(pool: Corpus, plan: BudgetPlan, seed: int, vocab: LabelVocab) -> CorpusSplit:
     """Spend ``plan`` on ``pool``, returning a split whose label total
     equals ``plan.total_labels`` exactly.
 
@@ -228,14 +261,13 @@ def allocate_budget(
     uniformly without replacement per multi example and exactly 1 per
     single example. Up to ``n_unlabeled`` leftover examples are kept with
     their annotations stripped (ground-truth side channels are retained so
-    oracle evaluation stays possible). Deterministic given ``seed``; never
-    mutates the pool.
+    oracle evaluation stays possible). Deterministic given ``seed``: one
+    permutation, then one ``choice`` per multi and one ``integers`` per
+    single, in that order.
     """
     n_needed = plan.n_single + plan.n_multi
     if n_needed > len(pool):
-        raise CorpusError(
-            f"infeasible plan: needs {n_needed} labeled examples, pool has {len(pool)}"
-        )
+        raise CorpusError(f"infeasible plan: needs {n_needed} labeled examples, pool has {len(pool)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
 
@@ -243,38 +275,40 @@ def allocate_budget(
         multi_idx = order[: plan.n_multi]
         rest = order[plan.n_multi :]
     else:
-        entropies = np.array([annotation_entropy(pool[i].annotations, vocab) for i in order])
-        ranked = order[np.argsort(entropies, kind="stable")]
+        from .metrics import entropy_rows
+
+        entropies = entropy_rows(pool.label_distribution(vocab.size))
+        ranked = order[np.argsort(entropies[order], kind="stable")]
         if plan.selection_strategy == "high_entropy":
             ranked = ranked[::-1]
         multi_idx = ranked[: plan.n_multi]
-        taken = set(multi_idx.tolist())
-        rest = np.array([i for i in order if i not in taken], dtype=int)
+        rest = order[~np.isin(order, multi_idx)]
 
     single_idx = rest[: plan.n_single]
     unlabeled_idx = rest[plan.n_single : plan.n_single + plan.n_unlabeled]
 
-    multis = []
-    for i in multi_idx:
-        ex = pool[i]
-        if len(ex.annotations) < plan.k_per_multi:
-            raise CorpusError(
-                f"infeasible plan: example {ex.uid} has {len(ex.annotations)} "
-                f"annotations, needs {plan.k_per_multi}"
-            )
-        picked = rng.choice(len(ex.annotations), size=plan.k_per_multi, replace=False)
-        multis.append(replace(ex, annotations=[ex.annotations[j] for j in picked]))
+    k = plan.k_per_multi
+    lengths, starts = pool.lengths, pool.offsets[:-1]
+    short = lengths[multi_idx] < k
+    if short.any():
+        i = multi_idx[np.argmax(short)]
+        raise CorpusError(f"infeasible plan: example {pool.uid[i]} has {lengths[i]} "
+                          f"annotations, needs {k}")
+    if (lengths[single_idx] == 0).any():
+        i = single_idx[np.argmax(lengths[single_idx] == 0)]
+        raise CorpusError(f"infeasible plan: example {pool.uid[i]} has no annotations")
 
-    singles = []
-    for i in single_idx:
-        ex = pool[i]
-        if not ex.annotations:
-            raise CorpusError(f"infeasible plan: example {ex.uid} has no annotations")
-        j = int(rng.integers(len(ex.annotations)))
-        singles.append(replace(ex, annotations=[ex.annotations[j]]))
+    picked = np.empty((len(multi_idx), k), dtype=np.int64)
+    for row, n_i in enumerate(lengths[multi_idx].tolist()):
+        picked[row] = rng.choice(n_i, size=k, replace=False)
+    chosen = np.array([rng.integers(n_i) for n_i in lengths[single_idx].tolist()], dtype=np.int64)
 
-    unlabeled = [replace(pool[i], annotations=[]) for i in unlabeled_idx]
-    return CorpusSplit(singles=singles, multis=multis, unlabeled=unlabeled)
+    def part(rows, positions, per_row):
+        return pool.take(rows, pool.labels[positions.ravel()], np.arange(len(rows) + 1) * per_row)
+
+    return CorpusSplit(part(single_idx, starts[single_idx] + chosen, 1),
+                       part(multi_idx, starts[multi_idx, None] + picked, k),
+                       part(unlabeled_idx, np.zeros(0, dtype=np.int64), 0))
 
 
 def split_manifest(plan: BudgetPlan, split: CorpusSplit) -> dict:
@@ -287,14 +321,7 @@ def split_manifest(plan: BudgetPlan, split: CorpusSplit) -> dict:
         "n_singles": len(split.singles),
         "n_multis": len(split.multis),
         "n_unlabeled": len(split.unlabeled),
-        "plan": {
-            "total_labels": plan.total_labels,
-            "n_single": plan.n_single,
-            "n_multi": plan.n_multi,
-            "k_per_multi": plan.k_per_multi,
-            "n_unlabeled": plan.n_unlabeled,
-            "selection_strategy": plan.selection_strategy,
-        },
+        "plan": asdict(plan),
     }
 
 
@@ -302,23 +329,15 @@ def split_manifest(plan: BudgetPlan, split: CorpusSplit) -> dict:
 # synthetic pools
 # ---------------------------------------------------------------------------
 
-def class_prototypes(k_classes: int, d_feat: int) -> np.ndarray:
-    """Fixed orthogonal class prototypes: scaled standard basis directions
-    of the first ``k_classes`` feature coordinates."""
-    protos = np.zeros((k_classes, d_feat))
-    protos[:, :k_classes] = np.eye(k_classes) * PROTOTYPE_SCALE
-    return protos
-
-
-def generate_synthetic_pool(config: SyntheticConfig) -> list[AnnotatedExample]:
+def generate_synthetic_pool(config: SyntheticConfig) -> Corpus:
     """Draw a pool of examples with known ground-truth label distributions.
 
     Per example: an ambiguity flag ~ Bernoulli(ambiguous_fraction) picks
     the Dirichlet concentration, the true distribution p* is drawn, the
     feature vector is sum_c p*_c * prototype_c plus Gaussian noise, and a
     reservoir of 100 annotations is drawn i.i.d. from Categorical(p*).
-    ``label_counter`` tallies the reservoir and ``old_label`` is the
-    majority of 5 extra annotator draws (ties to the lowest index).
+    ``counter`` tallies the reservoir and ``old_label`` is the majority of
+    5 extra annotator draws (ties to the lowest index).
 
     Deterministic given ``config.seed``. Each drawn field (flag, dominant
     class, Gammas, feature noise, annotator draws) has its own stream and
@@ -337,33 +356,32 @@ def generate_synthetic_pool(config: SyntheticConfig) -> list[AnnotatedExample]:
         ambiguous, config.dirichlet_flat, config.dirichlet_sharp)
     gamma_rng.standard_gamma(true_dist, out=true_dist)
     true_dist /= true_dist.sum(axis=1, keepdims=True)
-    X = true_dist @ class_prototypes(k, d)
+    X = true_dist @ (np.eye(k, d) * PROTOTYPE_SCALE)  # class c's prototype is a basis direction
     if config.feature_noise_sigma > 0:
         X += noise_rng.normal(0.0, config.feature_noise_sigma, size=(n, d))
 
     # annotator draws, a block of rows at a time to bound the temporaries:
     # inverse-CDF draws as rng.choice(k, p=...) makes them, the class being
     # the number of inner CDF knots at or below the uniform
-    pool = []
-    for lo in range(0, n, GENERATE_BLOCK_ROWS):
-        hi = min(lo + GENERATE_BLOCK_ROWS, n)
+    knots = np.cumsum(true_dist[:, :-1], axis=1)
+    labels = np.empty((n, RESERVOIR_SIZE), dtype=LABEL_DTYPE)
+    counter = np.empty((n, k), dtype=np.int64)
+    old_label = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
         u = label_rng.random((hi - lo, RESERVOIR_SIZE + OLD_LABEL_WAYS))
-        knots = np.cumsum(true_dist[lo:hi, :-1], axis=1)
-        draws = (knots[:, None, :] <= u[:, :, None]).sum(axis=2)
-        onehot = draws[:, :, None] == np.arange(k)
-        counts = onehot[:, :RESERVOIR_SIZE].sum(axis=1).tolist()
-        old_labels = onehot[:, RESERVOIR_SIZE:].sum(axis=1).argmax(axis=1).tolist()  # first max
-        for i, reservoir, row, old in zip(range(lo, hi), draws[:, :RESERVOIR_SIZE].tolist(),
-                                          counts, old_labels):
-            pool.append(AnnotatedExample(
-                uid=f"ex-{config.seed}-{i:06d}",
-                features=X[i],
-                annotations=reservoir,
-                true_dist=true_dist[i],
-                old_label=old,
-                label_counter={c: m for c, m in enumerate(row) if m},
-            ))
-    return pool
+        draws = np.zeros(u.shape, dtype=LABEL_DTYPE)
+        for j in range(k - 1):
+            draws += knots[lo:hi, j, None] <= u
+        keys = np.arange(hi - lo)[:, None] * k + draws
+        size = (hi - lo) * k
+        counter[lo:hi] = np.bincount(keys[:, :RESERVOIR_SIZE].ravel(), minlength=size).reshape(-1, k)
+        old_votes = np.bincount(keys[:, RESERVOIR_SIZE:].ravel(), minlength=size).reshape(-1, k)
+        old_label[lo:hi] = old_votes.argmax(axis=1)  # first max
+        labels[lo:hi] = draws[:, :RESERVOIR_SIZE]
+    uid = np.array([f"ex-{config.seed}-{i:06d}" for i in range(n)], dtype=object)
+    return Corpus(uid, X, labels.reshape(-1), np.arange(n + 1) * RESERVOIR_SIZE,
+                  true_dist, old_label, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +389,8 @@ def generate_synthetic_pool(config: SyntheticConfig) -> list[AnnotatedExample]:
 # ---------------------------------------------------------------------------
 # Corpus files are UTF-8, line-delimited JSON: one example per line with
 # fields "uid", "x", "labels" (names, possibly empty) and optional
-# "true_dist", "old_label", "label_counter". Vocab files hold one label
-# name per line in canonical order.
+# "true_dist", "old_label", "label_counter" (its nonzero counts). Vocab
+# files hold one label name per line in canonical order.
 
 def save_vocab(vocab: LabelVocab, path) -> None:
     with atomic_write(path) as f:
@@ -386,70 +404,90 @@ def load_vocab(path) -> LabelVocab:
     return LabelVocab(tuple(names))
 
 
-def example_to_record(ex: AnnotatedExample, vocab: LabelVocab) -> dict:
-    rec = {
-        "uid": ex.uid,
-        "x": [float(v) for v in ex.features],
-        "labels": [vocab.names[a] for a in ex.annotations],
-    }
-    if ex.true_dist is not None:
-        rec["true_dist"] = [float(v) for v in ex.true_dist]
-    if ex.old_label is not None:
-        rec["old_label"] = vocab.names[ex.old_label]
-    if ex.label_counter is not None:
-        rec["label_counter"] = {vocab.names[c]: int(n) for c, n in ex.label_counter.items()}
-    return rec
-
-
-def record_to_example(rec: dict, vocab: LabelVocab) -> AnnotatedExample:
-    uid = rec.get("uid")
-    if not isinstance(uid, str) or not uid:
-        raise CorpusError("record is missing a string 'uid' field")
-    if "x" not in rec:
-        raise CorpusError(f"record {uid}: missing 'x' field")
-    try:
-        annotations = [vocab.index(name) for name in rec.get("labels", [])]
-    except CorpusError as e:
-        raise CorpusError(f"record {uid}: {e}") from None
-    x = np.asarray(rec["x"], dtype=np.float64)
-    if x.ndim != 1 or not np.isfinite(x).all():
-        raise CorpusError(f"record {uid}: 'x' must be a 1-D vector of finite numbers")
-    true_dist = rec.get("true_dist")
-    if true_dist is not None:
-        try:
-            true_dist = validate_distribution(true_dist)
-        except CorpusError as e:
-            raise CorpusError(f"record {uid}: true_dist: {e}") from None
-        if len(true_dist) != vocab.size:
-            raise CorpusError(f"record {uid}: true_dist has {len(true_dist)} entries, vocab has {vocab.size}")
-    old_label = rec.get("old_label")
-    counter = rec.get("label_counter")
-    if old_label is not None and old_label not in vocab.names:
-        raise CorpusError(f"record {uid}: old_label {old_label!r} not in vocab")
-    if counter is not None:
-        for name in counter:
-            if name not in vocab.names:
-                raise CorpusError(f"record {uid}: counter label {name!r} not in vocab")
-    return AnnotatedExample(
-        uid=uid,
-        features=x,
-        annotations=annotations,
-        true_dist=true_dist,
-        old_label=None if old_label is None else vocab.index(old_label),
-        label_counter=None
-        if counter is None
-        else {vocab.index(name): int(n) for name, n in sorted(counter.items())},
-    )
-
-
-def save_corpus(pool: list[AnnotatedExample], path, vocab: LabelVocab) -> None:
+def save_corpus(corpus: Corpus, path, vocab: LabelVocab) -> None:
+    """One line per row, the bytes of ``json.dumps(record, sort_keys=True)``,
+    assembled from the JSON text of whole columns, a block of rows at a time."""
+    names = np.array([json.dumps(name) for name in vocab.names], dtype=object)
+    by_name = sorted(range(vocab.size), key=vocab.names.__getitem__)
     with atomic_write(path) as f:
-        for ex in pool:
-            f.write(json.dumps(example_to_record(ex, vocab), sort_keys=True) + "\n")
+        for lo in range(0, len(corpus), BLOCK_ROWS):
+            part = corpus[lo : lo + BLOCK_ROWS]
+            label_text = names[part.labels].tolist()
+            bounds = part.offsets.tolist()
+            rows = {"labels": ["[" + ", ".join(label_text[a:b]) + "]" for a, b in zip(bounds, bounds[1:])],
+                    "uid": [json.dumps(uid) for uid in part.uid.tolist()],
+                    "x": _json_rows(part.X)}
+            if part.true_dist is not None:  # rows without one hold NaNs
+                rows["true_dist"] = [None if "NaN" in row else row for row in _json_rows(part.true_dist)]
+            if part.old_label is not None:
+                rows["old_label"] = [None if c < 0 else names[c] for c in part.old_label.tolist()]
+            if part.counter is not None:
+                rows["label_counter"] = ["{" + ", ".join(f"{names[c]}: {row[c]}" for c in by_name if row[c])
+                                         + "}" if any(row) else None for row in part.counter.tolist()]
+            keys = sorted(rows)
+            f.writelines("{" + ", ".join(f'"{key}": {value}' for key, value in zip(keys, values)
+                                         if value is not None) + "}\n"
+                         for values in zip(*(rows[key] for key in keys)))
 
 
-def load_corpus(path, vocab: LabelVocab) -> list[AnnotatedExample]:
-    pool = []
+def _json_rows(matrix: np.ndarray) -> list[str]:
+    """The JSON text of each row of a 2-D float array, from one dump."""
+    return ["[" + row + "]" for row in json.dumps(matrix.tolist())[2:-2].split("], [")]
+
+
+def load_corpus(path, vocab: LabelVocab) -> Corpus:
+    """Read a corpus file. Errors name the file and the first bad line."""
+    try:
+        return _read_columns(path, vocab)
+    except (CorpusError, LookupError, TypeError, ValueError, AttributeError):
+        _check_lines(path, vocab)
+        raise
+
+
+def _read_columns(path, vocab: LabelVocab, tol: float = 1e-9) -> Corpus:
+    """The corpus in ``path``, read into columns line by line. Raises on a
+    bad record without naming it; ``_check_lines`` then finds it."""
+    k, positions = vocab.size, vocab._positions
+    uid, X, lengths, labels = [], [], [], array("h")  # LABEL_DTYPE
+    side = {key: [] for key in ("true_dist", "old_label", "label_counter")}
+    with open(path, encoding="utf-8") as f:
+        for line in filter(str.strip, f):
+            rec = json.loads(line)
+            uid.append(rec["uid"])
+            X.append(rec["x"])
+            names = rec.get("labels", [])
+            labels.extend(map(positions.__getitem__, names))
+            lengths.append(len(names))
+            for key, values in side.items():
+                values.append(rec.get(key))
+    n = len(uid)
+    X = np.array(X, dtype=np.float64) if n else np.zeros((0, 0))
+    if not all(isinstance(u, str) and u for u in uid) or X.ndim != 2 or not np.isfinite(X).all():
+        raise CorpusError("bad uid or features")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    dists, olds, counters = side.values()
+    true_dist = old_label = counter = None
+    if any(p is not None for p in dists):
+        true_dist = np.array([[np.nan] * k if p is None else p for p in dists], dtype=np.float64)
+        P = true_dist[[p is not None for p in dists]]
+        if (P.shape[1:] != (k,) or not ((P >= -tol) & (P <= 1 + tol)).all()
+                or (np.abs(P.sum(axis=1) - 1.0) > tol).any()):
+            raise CorpusError("bad true_dist")
+    if any(c is not None for c in olds):
+        old_label = [-1 if c is None else positions[c] for c in olds]
+    if any(c is not None for c in counters):
+        counter = np.zeros((n, k), dtype=np.int64)
+        for i, row in enumerate(counters):
+            for name, m in (row or {}).items():
+                counter[i, positions[name]] = int(m)
+    return Corpus(np.array(uid, dtype=object), X, np.frombuffer(labels, dtype=LABEL_DTYPE),
+                  offsets, true_dist, old_label, counter)
+
+
+def _check_lines(path, vocab: LabelVocab) -> None:
+    """Check the records of ``path`` one at a time; raises naming the first bad line."""
+    widths = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -461,11 +499,40 @@ def load_corpus(path, vocab: LabelVocab) -> list[AnnotatedExample]:
             if not isinstance(rec, dict):
                 raise CorpusError(f"{path}: malformed record on line {lineno}: not an object")
             try:
-                ex = record_to_example(rec, vocab)
+                widths.append(_check_record(rec, vocab))
             except CorpusError as e:
                 raise CorpusError(f"{path}: line {lineno}: {e}") from None
-            if pool and len(ex.features) != len(pool[0].features):
-                raise CorpusError(f"{path}: line {lineno} has {len(ex.features)} features, "
-                                  f"the first record has {len(pool[0].features)}")
-            pool.append(ex)
-    return pool
+            if widths[-1] != widths[0]:
+                raise CorpusError(f"{path}: line {lineno} has {widths[-1]} features, "
+                                  f"the first record has {widths[0]}")
+
+
+def _check_record(rec: dict, vocab: LabelVocab) -> int:
+    """Raise the first fault of one record; returns its feature count."""
+    uid = rec.get("uid")
+    if not isinstance(uid, str) or not uid:
+        raise CorpusError("record is missing a string 'uid' field")
+    try:
+        if "x" not in rec:
+            raise CorpusError("missing 'x' field")
+        for name in rec.get("labels", []):
+            vocab.index(name)
+        x = np.asarray(rec["x"], dtype=np.float64)
+        if x.ndim != 1 or not np.isfinite(x).all():
+            raise CorpusError("'x' must be a 1-D vector of finite numbers")
+        if rec.get("true_dist") is not None:
+            try:
+                true_dist = validate_distribution(rec["true_dist"])
+            except CorpusError as e:
+                raise CorpusError(f"true_dist: {e}") from None
+            if len(true_dist) != vocab.size:
+                raise CorpusError(f"true_dist has {len(true_dist)} entries, vocab has {vocab.size}")
+        old_label = rec.get("old_label")
+        if old_label is not None and old_label not in vocab.names:
+            raise CorpusError(f"old_label {old_label!r} not in vocab")
+        for name in rec.get("label_counter") or ():
+            if name not in vocab.names:
+                raise CorpusError(f"counter label {name!r} not in vocab")
+    except CorpusError as e:
+        raise CorpusError(f"record {uid}: {e}") from None
+    return len(x)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,42 +25,49 @@ class MetricsError(ValueError):
     pass
 
 
-def entropy(p) -> float:
-    """Shannon entropy in nats, with 0 * ln 0 = 0."""
-    v = np.asarray(p, dtype=np.float64)
-    nz = v[v > 0]
-    return float(-np.sum(nz * np.log(nz)))
+def _row_sums(T: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the sum of ``T`` over ``mask`` (``T`` is 0 elsewhere), with
+    the same float64 result as summing the row's masked entries alone:
+    numpy adds fewer than 8 values in order, so in narrower rows the zeros
+    change nothing, and wider rows are summed in groups of equal count."""
+    if T.shape[1] < 8:
+        return T.sum(axis=1)
+    counts = mask.sum(axis=1)
+    T = np.take_along_axis(T, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+    out = np.zeros(len(T))
+    for c in np.unique(counts):
+        rows = counts == c
+        out[rows] = T[rows, :c].sum(axis=1)
+    return out
 
 
-def entropy_rows(P: np.ndarray) -> np.ndarray:
-    """Row-wise Shannon entropy in nats."""
-    P = np.asarray(P, dtype=np.float64)
-    terms = np.where(P > 0, P * np.log(np.maximum(P, 1e-300)), 0.0)
-    return -terms.sum(axis=-1)
+def _sum_plogq(P, Q, log=np.log) -> np.ndarray:
+    """Per row, the sum of p * log(p / q) over the entries where p > 0."""
+    P = np.atleast_2d(np.asarray(P, dtype=np.float64))
+    Q = np.broadcast_to(np.asarray(Q, dtype=np.float64), P.shape)
+    mask = P > 0
+    ratio = np.where(mask, P, 1.0) / np.where(mask, Q, 1.0)
+    return _row_sums(np.where(mask, P * log(ratio), 0.0), mask)
 
 
-def kl_div(p, q, clamp: float = KL_CLAMP) -> float:
-    """KL(p || q) in nats; q is clamped below at ``clamp`` so the value
-    stays finite, and 0 * ln 0 terms vanish."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.maximum(np.asarray(q, dtype=np.float64), clamp)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def entropy_rows(P) -> np.ndarray:
+    """Row-wise Shannon entropy in nats, with 0 * ln 0 = 0."""
+    return -_sum_plogq(P, 1.0)
 
 
-def _kl2_unclamped(p, q) -> float:
-    # base-2 KL against a mixture that is positive wherever p is
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+def kl_rows(P, Q, clamp: float = KL_CLAMP) -> np.ndarray:
+    """Row-wise KL(p || q) in nats; q is clamped below at ``clamp`` so the
+    value stays finite, and 0 * ln 0 terms vanish."""
+    return _sum_plogq(P, np.maximum(np.asarray(Q, dtype=np.float64), clamp))
 
 
-def jsd(p, q) -> float:
-    """Jensen-Shannon divergence in log base 2; symmetric, in [0, 1]. The
-    mixture is positive wherever p or q is, so no clamping is needed."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    m = 0.5 * (p + q)
-    return 0.5 * _kl2_unclamped(p, m) + 0.5 * _kl2_unclamped(q, m)
+def jsd_rows(P, Q) -> np.ndarray:
+    """Row-wise Jensen-Shannon divergence in log base 2; symmetric, in
+    [0, 1]. The mixture is positive wherever p or q is, so no clamping is
+    needed."""
+    P, Q = (np.atleast_2d(np.asarray(A, dtype=np.float64)) for A in (P, Q))
+    M = 0.5 * (P + Q)
+    return 0.5 * _sum_plogq(P, M, np.log2) + 0.5 * _sum_plogq(Q, M, np.log2)
 
 
 def entropy_bin_edges(k_classes: int, n_bins: int = 20) -> np.ndarray:
@@ -72,11 +79,26 @@ def entropy_histogram(dists, k_classes: int, n_bins: int = 20) -> np.ndarray:
     bins on [0, ln k]; the last bin is right-inclusive."""
     if n_bins < 1:
         raise MetricsError("n_bins must be >= 1")
-    H = entropy_rows(np.atleast_2d(np.asarray(dists, dtype=np.float64)))
+    H = entropy_rows(dists)
     edges = entropy_bin_edges(k_classes, n_bins)
     H = np.clip(H, edges[0], edges[-1])  # guard float spill past ln k
     counts, _ = np.histogram(H, bins=edges)
     return counts
+
+
+def _hits(P: np.ndarray, examples) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, whether the argmax prediction is the old label and the
+    counter's majority (first max); names the first row lacking either."""
+    n = len(examples)
+    old = examples.old_label if examples.old_label is not None else np.full(n, -1)
+    counter = examples.counter if examples.counter is not None else np.zeros((n, 1))
+    bad = (old < 0) | (counter.sum(axis=1) == 0)
+    if bad.any():
+        i = np.argmax(bad)
+        raise MetricsError(f"example {examples.uid[i]}: missing "
+                           f"{'old_label' if old[i] < 0 else 'label_counter'}")
+    pred = P.argmax(axis=1)
+    return pred == old, pred == counter.argmax(axis=1)
 
 
 def accuracy_old_new(pred_dists, examples) -> tuple[float, float]:
@@ -86,18 +108,7 @@ def accuracy_old_new(pred_dists, examples) -> tuple[float, float]:
     P = np.atleast_2d(np.asarray(pred_dists, dtype=np.float64))
     if len(P) != len(examples):
         raise MetricsError("predictions and examples differ in length")
-    old_hits, new_hits = [], []
-    for row, ex in zip(P, examples):
-        if ex.old_label is None:
-            raise MetricsError(f"example {ex.uid}: missing old_label")
-        if not ex.label_counter:
-            raise MetricsError(f"example {ex.uid}: missing label_counter")
-        pred = int(np.argmax(row))
-        counts = np.zeros(row.shape[0])
-        for label, n in ex.label_counter.items():
-            counts[label] = n
-        old_hits.append(pred == ex.old_label)
-        new_hits.append(pred == int(np.argmax(counts)))
+    old_hits, new_hits = _hits(P, examples)
     return float(np.mean(old_hits)), float(np.mean(new_hits))
 
 
@@ -160,36 +171,26 @@ class EvalReport:
     per_example: list[dict] = field(default_factory=list)
 
     def summary(self) -> dict:
-        out = {"n_examples": self.n_examples}
-        for name in (
-            "jsd", "kl", "acc_old", "acc_new", "mean_pred_entropy",
-            "macro_p", "macro_r", "macro_f1", "mrr",
-        ):
-            if getattr(self, name) is not None:
-                out[name] = getattr(self, name)
-        if self.entropy_histogram is not None:
-            out["entropy_histogram"] = self.entropy_histogram
-            out["entropy_bin_edges"] = self.entropy_bin_edges
-        if self.calibration is not None:
-            out["calibration"] = self.calibration
-        return out
+        """Every metric that is set; the per-example records stay out."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_example"}
+        return {name: value for name, value in values.items() if value is not None}
 
 
-def gold_distribution(ex, k_classes: int, source: str = "counter") -> np.ndarray:
-    """Reference distribution for one evaluation example: the normalized
-    dense annotation counter, or the generator's ground truth."""
+def gold_rows(examples, k_classes: int, source: str = "counter") -> np.ndarray:
+    """Reference distributions of an evaluation corpus, (n, k): the
+    normalized dense annotation counters, or the generator's ground truth."""
+    if source not in ("counter", "true_dist"):
+        raise MetricsError(f"unknown gold source {source!r}")
+    name, column = ("label_counter", examples.counter) if source == "counter" else (
+        "true_dist", examples.true_dist)
+    gold = np.full((len(examples), k_classes), np.nan) if column is None else column
     if source == "counter":
-        if not ex.label_counter:
-            raise MetricsError(f"example {ex.uid}: missing label_counter")
-        counts = np.zeros(k_classes)
-        for label, n in ex.label_counter.items():
-            counts[label] = n
-        return counts / counts.sum()
-    if source == "true_dist":
-        if ex.true_dist is None:
-            raise MetricsError(f"example {ex.uid}: missing true_dist")
-        return ex.true_dist
-    raise MetricsError(f"unknown gold source {source!r}")
+        with np.errstate(invalid="ignore"):  # a row without votes comes out NaN
+            gold = gold / gold.sum(axis=1, keepdims=True)
+    missing = np.isnan(gold).any(axis=1)
+    if missing.any():
+        raise MetricsError(f"example {examples.uid[np.argmax(missing)]}: missing {name}")
+    return gold
 
 
 def evaluate_distribution(
@@ -200,52 +201,37 @@ def evaluate_distribution(
     gold_source: str = "counter",
     kl_direction: str = "human_model",
 ) -> EvalReport:
-    """Assemble the distribution-task report. Summary metrics are exact
-    means of the per-example records. ``acc_old``/``acc_new`` (and the
-    per-row ``correct_old``/``correct_new``) are omitted when no example
-    carries ``old_label`` or ``label_counter``; if only some do, it raises."""
+    """Assemble the distribution-task report for an evaluation ``Corpus``.
+    Summary metrics are exact means of the per-example records.
+    ``acc_old``/``acc_new`` (and the per-row ``correct_old``/``correct_new``)
+    are omitted when no example carries ``old_label`` or ``label_counter``;
+    if only some do, it raises."""
     P = np.atleast_2d(np.asarray(pred_dists, dtype=np.float64))
     if len(P) != len(examples):
         raise MetricsError("predictions and examples differ in length")
     if kl_direction not in ("human_model", "model_human"):
         raise MetricsError(f"unknown KL direction {kl_direction!r}")
 
-    per = []
-    for row, ex in zip(P, examples):
-        gold = gold_distribution(ex, k_classes, gold_source)
-        pair = (gold, row) if kl_direction == "human_model" else (row, gold)
-        per.append(
-            {
-                "uid": ex.uid,
-                "pred": [float(v) for v in row],
-                "gold": [float(v) for v in gold],
-                "kl": kl_div(*pair),
-                "jsd": jsd(gold, row),
-                "pred_entropy": entropy(row),
-            }
-        )
+    gold = gold_rows(examples, k_classes, gold_source)
+    kl = kl_rows(gold, P) if kl_direction == "human_model" else kl_rows(P, gold)
+    js = jsd_rows(gold, P)
+    H = entropy_rows(P)
+    per = [{"uid": uid, "pred": pred, "gold": g, "kl": a, "jsd": b, "pred_entropy": h}
+           for uid, pred, g, a, b, h in zip(examples.uid.tolist(), P.tolist(), gold.tolist(),
+                                            kl.tolist(), js.tolist(), H.tolist())]
     acc_old = acc_new = None
-    if any(ex.old_label is not None or ex.label_counter for ex in examples):
-        acc_old, acc_new = accuracy_old_new(P, examples)
-        for rec, row, ex in zip(per, P, examples):
-            counts = np.zeros(k_classes)
-            for label, n in ex.label_counter.items():
-                counts[label] = n
-            rec["correct_old"] = int(int(np.argmax(row)) == ex.old_label)
-            rec["correct_new"] = int(int(np.argmax(row)) == int(np.argmax(counts)))
+    if ((examples.old_label is not None and (examples.old_label >= 0).any())
+            or (examples.counter is not None and examples.counter.any())):
+        old_hits, new_hits = _hits(P, examples)
+        acc_old, acc_new = float(np.mean(old_hits)), float(np.mean(new_hits))
+        for rec, old, new in zip(per, old_hits.tolist(), new_hits.tolist()):
+            rec.update(correct_old=int(old), correct_new=int(new))
 
-    hist = entropy_histogram(P, k_classes, n_bins)
     return EvalReport(
-        n_examples=len(examples),
-        jsd=float(np.mean([r["jsd"] for r in per])),
-        kl=float(np.mean([r["kl"] for r in per])),
-        acc_old=acc_old,
-        acc_new=acc_new,
-        mean_pred_entropy=float(np.mean([r["pred_entropy"] for r in per])),
-        entropy_histogram=[int(c) for c in hist],
-        entropy_bin_edges=[float(e) for e in entropy_bin_edges(k_classes, n_bins)],
-        per_example=per,
-    )
+        n_examples=len(examples), jsd=float(np.mean(js)), kl=float(np.mean(kl)),
+        acc_old=acc_old, acc_new=acc_new, mean_pred_entropy=float(np.mean(H)),
+        entropy_histogram=entropy_histogram(P, k_classes, n_bins).tolist(),
+        entropy_bin_edges=entropy_bin_edges(k_classes, n_bins).tolist(), per_example=per)
 
 
 def evaluate_typing(score_rows, gold_sets, uids, threshold: float = 0.5) -> EvalReport:
@@ -260,23 +246,11 @@ def evaluate_typing(score_rows, gold_sets, uids, threshold: float = 0.5) -> Eval
     per = []
     for uid, pred, gold in zip(uids, pred_sets, gold_sets):
         hit = len(set(pred) & set(gold))
-        per.append(
-            {
-                "uid": uid,
-                "pred_types": sorted(int(t) for t in pred),
-                "gold_types": sorted(int(t) for t in gold),
-                "precision": hit / len(pred),
-                "recall": hit / len(gold),
-            }
-        )
-    return EvalReport(
-        n_examples=len(gold_sets),
-        macro_p=p,
-        macro_r=r,
-        macro_f1=f1,
-        mrr=score_mrr,
-        per_example=per,
-    )
+        per.append({"uid": uid, "pred_types": sorted(int(t) for t in pred),
+                    "gold_types": sorted(int(t) for t in gold),
+                    "precision": hit / len(pred), "recall": hit / len(gold)})
+    return EvalReport(n_examples=len(gold_sets), macro_p=p, macro_r=r, macro_f1=f1,
+                      mrr=score_mrr, per_example=per)
 
 
 # ---------------------------------------------------------------------------

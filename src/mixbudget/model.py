@@ -138,11 +138,6 @@ def forward_softmax(params: ClassifierParams, x) -> np.ndarray:
     return softmax(forward_logits(params, x))
 
 
-def forward_multilabel(params: ClassifierParams, x) -> np.ndarray:
-    """Independent per-type membership scores in (0, 1)."""
-    return sigmoid(forward_logits(params, x))
-
-
 def forward_scores(params: ClassifierParams, x) -> np.ndarray:
     """Output of the model's own head for feature row(s)."""
     return HEADS[params.head].activate(forward_logits(params, x))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_write
-from .corpus import CorpusSplit, LabelVocab, aggregate_annotations
+from .corpus import CorpusSplit, LabelVocab
 from .model import (
     HEADS,
     ClassifierParams,
@@ -135,19 +135,6 @@ class TrainLog:
 # targets
 # ---------------------------------------------------------------------------
 
-def one_hot(index: int, size: int) -> np.ndarray:
-    y = np.zeros(size)
-    y[index] = 1.0
-    return y
-
-
-def multi_hot(indices, size: int) -> np.ndarray:
-    y = np.zeros(size)
-    for i in indices:
-        y[i] = 1.0
-    return y
-
-
 def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> dict:
     """Training arrays per set: {"s": (X, Y), "m": (X, Y), "u": X or None}.
 
@@ -158,19 +145,16 @@ def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> d
     """
     k = vocab.size
 
-    def dist_target(ex):
-        if spec.head == "sigmoid":
-            return multi_hot(set(ex.annotations), k)
-        if spec.target_mode == "prediction":
-            return one_hot(aggregate_annotations(ex.annotations, "majority", vocab), k)
-        return aggregate_annotations(ex.annotations, "distribution", vocab)
-
-    def pack(examples):
-        if not examples:
+    def pack(part):
+        if not len(part):
             return None
-        X = np.stack([ex.features for ex in examples])
-        Y = np.stack([dist_target(ex) for ex in examples])
-        return X, Y
+        if spec.head == "sigmoid":
+            Y = (part.counts(k) > 0).astype(np.float64)
+        elif spec.target_mode == "prediction":
+            Y = np.eye(k)[part.counts(k).argmax(axis=1)]
+        else:
+            Y = part.label_distribution(k)
+        return part.X, Y
 
     out = {"s": pack(split.singles), "m": pack(split.multis)}
     if out["s"] is not None and spec.train_smooth_mass > 0 and spec.head == "softmax":
@@ -178,7 +162,7 @@ def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> d
 
         Xs, Ys = out["s"]
         out["s"] = (Xs, train_smooth(Ys, spec.train_smooth_mass))
-    out["u"] = np.stack([ex.features for ex in split.unlabeled]) if split.unlabeled else None
+    out["u"] = split.unlabeled.X if len(split.unlabeled) else None
     return out
 
 

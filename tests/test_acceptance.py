@@ -19,8 +19,8 @@ from scipy.spatial.distance import jensenshannon
 from mixbudget import cli
 from mixbudget.calibrate import mean_entropy, temp_scale, tune_entropy_match
 from mixbudget.corpus import (
-    AnnotatedExample,
     BudgetPlan,
+    Corpus,
     LabelVocab,
     SyntheticConfig,
     allocate_budget,
@@ -29,11 +29,11 @@ from mixbudget.corpus import (
 )
 from mixbudget.metrics import (
     accuracy_old_new,
-    entropy,
     entropy_histogram,
+    entropy_rows,
     evaluate_distribution,
-    jsd,
-    kl_div,
+    jsd_rows,
+    kl_rows,
     macro_prf,
     mrr,
 )
@@ -57,6 +57,19 @@ from mixbudget.strategies import (
 from test_model import finite_difference, max_rel_err
 
 VOCAB = LabelVocab(("E", "N", "C"))
+
+
+def kl_div(p, q):
+    return float(kl_rows([p], [q])[0])
+
+
+def jsd(p, q):
+    return float(jsd_rows([p], [q])[0])
+
+
+def entropy(p):
+    return float(entropy_rows([p])[0])
+
 
 # frozen configuration for the trained-model criteria (6-8)
 CORPUS_SEED = 11
@@ -93,8 +106,8 @@ def corpus_bundle():
     )
     full = generate_synthetic_pool(syn)
     pool, evalset = full[:2000], full[2000:]
-    X = np.stack([ex.features for ex in evalset])
-    true_dists = np.stack([ex.true_dist for ex in evalset])
+    X = evalset.X
+    true_dists = evalset.true_dist
     return SimpleNamespace(
         pool=pool,
         evalset=evalset,
@@ -144,14 +157,11 @@ def test_criterion_1_budget_exactness(corpus_bundle):
 
     # 20k-example desk pool for the timed allocations
     rng = np.random.default_rng(0)
-    desk_pool = [
-        AnnotatedExample(
-            uid=f"d{i:06d}",
-            features=np.zeros(2),
-            annotations=[int(a) for a in rng.integers(0, 3, size=10)],
-        )
-        for i in range(20_000)
-    ]
+    desk_pool = Corpus.from_rows(
+        [f"d{i:06d}" for i in range(20_000)],
+        np.zeros((20_000, 2)),
+        [[int(a) for a in rng.integers(0, 3, size=10)] for _ in range(20_000)],
+    )
 
     timed = {}
     for name, plan in (
@@ -167,14 +177,11 @@ def test_criterion_1_budget_exactness(corpus_bundle):
 
     # the 150k plan needs a 146k pool; exactness only, arithmetic is the point
     big_plan = BudgetPlan(150_000, 145_000, 500, 10)
-    big_pool = [
-        AnnotatedExample(
-            uid=f"b{i:06d}",
-            features=np.zeros(1),
-            annotations=[int(a) for a in rng.integers(0, 3, size=10)],
-        )
-        for i in range(146_000)
-    ]
+    big_pool = Corpus.from_rows(
+        [f"b{i:06d}" for i in range(146_000)],
+        np.zeros((146_000, 1)),
+        [[int(a) for a in rng.integers(0, 3, size=10)] for _ in range(146_000)],
+    )
     split = allocate_budget(big_pool, big_plan, seed=2, vocab=VOCAB)
     manifest = split_manifest(big_plan, split)
     checks.append(("150k exact total", manifest["label_total"] == 150_000))
@@ -336,13 +343,12 @@ def test_criterion_5_calibration_contract():
         ("fixture entropy near 0.414", abs(mean_entropy(softmax(logits)) - 0.414) < 1e-3)
     )
 
-    examples = [
-        AnnotatedExample(
-            uid=f"c{i}", features=np.zeros(1), annotations=[],
-            old_label=int(g), label_counter={int(g): 60, int((g + 1) % 3): 40},
-        )
-        for i, g in enumerate(golds)
-    ]
+    counters = np.zeros((len(golds), 3), dtype=int)
+    for i, g in enumerate(golds):
+        counters[i, int(g)], counters[i, int((g + 1) % 3)] = 60, 40
+    examples = Corpus.from_rows([f"c{i}" for i in range(len(golds))], np.zeros((len(golds), 1)),
+                                [[] for _ in golds], old_label=[int(g) for g in golds],
+                                counter=counters)
     base = accuracy_old_new(softmax(logits), examples)
     acc_ok = all(
         accuracy_old_new(temp_scale(logits, T), examples) == base

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbudget import cli
-from mixbudget.corpus import LabelVocab, load_corpus, save_corpus, AnnotatedExample
-from mixbudget.metrics import gold_distribution, kl_div, read_report_summary
+from mixbudget import cli, corpus
+from mixbudget.corpus import Corpus, LabelVocab, load_corpus, save_corpus
+from mixbudget.metrics import gold_rows, kl_rows, read_report_summary
 from mixbudget.model import init_params, save_checkpoint
 
 VOCAB = LabelVocab(("E", "N", "C"))
@@ -62,9 +62,9 @@ class TestGen:
         evalset = load_corpus(data / "eval.jsonl", VOCAB)
         assert len(pool) == 120 and len(evalset) == 40
         assert not (set(e.uid for e in pool) & set(e.uid for e in evalset))
-        for ex in evalset:
-            assert sum(ex.label_counter.values()) == 100
-            assert ex.true_dist is not None and ex.old_label is not None
+        for i in range(len(evalset)):
+            assert sum(evalset.counter[i]) == 100
+            assert not np.isnan(evalset.true_dist[i]).any() and evalset.old_label[i] >= 0
 
     def test_idempotent_bytes(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -99,7 +99,7 @@ class TestSplit:
         run_cli("gen", "--config", str(path))
         run_cli("split", "--config", str(path))
         multis = load_corpus(cli.split_dir(cfg) / "multis.jsonl", VOCAB)
-        assert multis == []
+        assert len(multis) == 0
 
     def test_infeasible_plan_fails_with_error_line(self, tmp_path, capsys):
         cfg = base_config(
@@ -177,7 +177,7 @@ class TestTrainEval:
         evalset = load_corpus(cli.eval_path(cfg), VOCAB)
         uniform = np.ones(3) / 3
         expected = np.mean(
-            [kl_div(gold_distribution(ex, 3, "counter"), uniform) for ex in evalset]
+            [kl_rows([gold], [uniform])[0] for gold in gold_rows(evalset, 3, "counter")]
         )
         assert summary["kl"] == pytest.approx(expected, abs=1e-12)
 
@@ -272,9 +272,27 @@ class TestSweep:
         for seed in (0, 1, 2):
             assert (cli.run_dir(cfg, seed) / "report.jsonl").exists()
 
+    def test_parallel_sweep_reads_inputs_once_in_parent(self, tmp_path, monkeypatch):
+        cfg = base_config(tmp_path, seeds=[0, 1, 2, 3], workers=2)
+        path = write_config(tmp_path, cfg)
+        run_cli("gen", "--config", str(path))
+        run_cli("split", "--config", str(path))
+        log = tmp_path / "loads.txt"
+        load = corpus.load_corpus
+
+        def logged_load(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "load_corpus", logged_load)
+        assert run_cli("sweep", "--config", str(path)) == 0
+        # the three split files and the eval corpus, read before the fork
+        assert log.read_text().split() == [str(os.getpid())] * 4
+
     def test_parallel_matches_serial(self, tmp_path):
-        # a serial sweep keeps params in memory and reads its inputs once; a
-        # parallel one reads them per seed; the per-seed commands read every
+        # a sweep keeps params in memory and reads its inputs once (a
+        # parallel one in the parent); the per-seed commands read every
         # artifact from disk: all three must write the same bytes
         serial = base_config(tmp_path, seeds=[0, 1], workers=1,
                              outdir=str(tmp_path / "serial"),
@@ -346,11 +364,13 @@ class TestTypingTask:
         type_vocab = LabelVocab(("person", "artist", "place", "city", "event", "group"))
         rng = np.random.default_rng(5)
         protos = rng.normal(size=(6, 5))
-        pool = []
+        uids, X, annotations = [], [], []
         for i in range(60):
             types = sorted(rng.choice(6, size=int(rng.integers(2, 5)), replace=False))
-            x = protos[types].mean(axis=0) + 0.1 * rng.normal(size=5)
-            pool.append(AnnotatedExample(f"t{i:03d}", x, [int(t) for t in types]))
+            X.append(protos[types].mean(axis=0) + 0.1 * rng.normal(size=5))
+            uids.append(f"t{i:03d}")
+            annotations.append([int(t) for t in types])
+        pool = Corpus.from_rows(uids, np.array(X), annotations)
         pool_path = tmp_path / "typing_pool.jsonl"
         eval_path = tmp_path / "typing_eval.jsonl"
         save_corpus(pool[:40], pool_path, type_vocab)

@@ -1,7 +1,10 @@
 """Corpus tests: aggregation, budget allocation, synthetic pools, file I/O."""
 
 import json
+import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +13,13 @@ from hypothesis import strategies as st
 
 from mixbudget.atomic import atomic_write
 from mixbudget.corpus import (
-    AnnotatedExample,
     BudgetPlan,
+    Corpus,
     CorpusError,
+    CorpusSplit,
     LabelVocab,
     SyntheticConfig,
-    aggregate_annotations,
     allocate_budget,
-    annotation_entropy,
     generate_synthetic_pool,
     load_corpus,
     load_vocab,
@@ -26,25 +28,72 @@ from mixbudget.corpus import (
     split_manifest,
     validate_distribution,
 )
+from mixbudget.metrics import entropy_rows
 
 VOCAB = LabelVocab(("E", "N", "C"))
 E, N, C = 0, 1, 2
 
 
-def make_pool(n, n_annotations=100, seed=0, d=4):
-    """Pool with random reservoirs; deterministic."""
+def make_pool(n, n_annotations=100, seed=0, d=4, k=3):
+    """Pool with random reservoirs; deterministic. ``n_annotations`` is one
+    reservoir size for every row, or one size per row."""
     rng = np.random.default_rng(seed)
-    pool = []
+    sizes = [n_annotations] * n if np.isscalar(n_annotations) else n_annotations
+    uids, X, annotations = [], [], []
     for i in range(n):
-        p = rng.dirichlet(np.ones(3))
-        pool.append(
-            AnnotatedExample(
-                uid=f"p{i:05d}",
-                features=rng.normal(size=d),
-                annotations=[int(a) for a in rng.choice(3, size=n_annotations, p=p)],
-            )
-        )
-    return pool
+        p = rng.dirichlet(np.ones(k))
+        uids.append(f"p{i:05d}")
+        X.append(rng.normal(size=d))
+        annotations.append([int(a) for a in rng.choice(k, size=sizes[i], p=p)])
+    return Corpus.from_rows(uids, np.reshape(X, (n, d)), annotations)
+
+
+def aggregate_annotations(annotations, mode, vocab):
+    """One row's target from the row-wise corpus aggregation: its empirical
+    frequencies, or the majority label (first max)."""
+    row = Corpus.from_rows(["r"], np.zeros((1, 2)), [annotations])
+    if mode == "distribution":
+        return row.label_distribution(vocab.size)[0]
+    return int(row.counts(vocab.size).argmax(axis=1)[0])
+
+
+def every_row(split):
+    return [*split.singles, *split.multis, *split.unlabeled]
+
+
+def reference_allocation(reservoirs, plan, seed, k_classes):
+    """Budget allocation as one loop per example over plain lists: each
+    set's (pool row, annotations) in set order."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(reservoirs))
+    if plan.selection_strategy == "random":
+        multi_idx = order[: plan.n_multi]
+        rest = order[plan.n_multi :]
+    else:
+        entropies = []
+        for i in order:
+            counts = np.bincount(reservoirs[i], minlength=k_classes).astype(np.float64)
+            dist = counts / counts.sum()
+            nz = dist[dist > 0]
+            entropies.append(float(-np.sum(nz * np.log(nz))))
+        ranked = order[np.argsort(np.array(entropies), kind="stable")]
+        if plan.selection_strategy == "high_entropy":
+            ranked = ranked[::-1]
+        multi_idx = ranked[: plan.n_multi]
+        taken = set(multi_idx.tolist())
+        rest = np.array([i for i in order if i not in taken], dtype=int)
+    single_idx = rest[: plan.n_single]
+    unlabeled_idx = rest[plan.n_single : plan.n_single + plan.n_unlabeled]
+    multis = []
+    for i in multi_idx:
+        picked = rng.choice(len(reservoirs[i]), size=plan.k_per_multi, replace=False)
+        multis.append((int(i), [reservoirs[i][j] for j in picked]))
+    singles = []
+    for i in single_idx:
+        j = int(rng.integers(len(reservoirs[i])))
+        singles.append((int(i), [reservoirs[i][j]]))
+    return {"singles": singles, "multis": multis,
+            "unlabeled": [(int(i), []) for i in unlabeled_idx]}
 
 
 class TestLabelVocab:
@@ -132,7 +181,7 @@ class TestAllocateBudget:
         pool = make_pool(100)
         plan = BudgetPlan(80, 40, 4, 10, n_unlabeled=56)
         split = allocate_budget(pool, plan, seed=1, vocab=VOCAB)
-        uids = [ex.uid for ex in split.singles + split.multis + split.unlabeled]
+        uids = [ex.uid for ex in every_row(split)]
         assert len(uids) == len(set(uids))
 
     @settings(max_examples=60, deadline=None)
@@ -154,12 +203,36 @@ class TestAllocateBudget:
         assert [len(ex.annotations) for ex in split.multis] == [k] * n_multi
         assert len(split.unlabeled) == min(n_unlabeled, n_pool - n_single - n_multi)
         assert all(not ex.annotations for ex in split.unlabeled)
-        uids = [ex.uid for ex in split.singles + split.multis + split.unlabeled]
+        uids = [ex.uid for ex in every_row(split)]
         assert len(uids) == len(set(uids))
         # every set's annotations are a sub-multiset of the example's reservoir
         reservoirs = {ex.uid: np.bincount(ex.annotations, minlength=3) for ex in pool}
-        for ex in split.singles + split.multis:
+        for ex in [*split.singles, *split.multis]:
             assert np.all(np.bincount(ex.annotations, minlength=3) <= reservoirs[ex.uid])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), selection=st.sampled_from(["random", "low_entropy", "high_entropy"]))
+    def test_same_draws_as_per_example_loop(self, data, selection):
+        k_classes = data.draw(st.integers(2, 10), label="k_classes")
+        n_pool = data.draw(st.integers(1, 60), label="n_pool")
+        k = data.draw(st.integers(1, 6), label="k_per_multi")
+        sizes = data.draw(st.lists(st.integers(k, 12), min_size=n_pool, max_size=n_pool),
+                          label="reservoir sizes")
+        n_multi = data.draw(st.integers(0, n_pool), label="n_multi")
+        n_single = data.draw(st.integers(0, n_pool - n_multi), label="n_single")
+        n_unlabeled = data.draw(st.integers(0, n_pool), label="n_unlabeled")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        vocab = LabelVocab(tuple(f"l{c}" for c in range(k_classes)))
+        pool = make_pool(n_pool, n_annotations=sizes, seed=seed % 1000, k=k_classes)
+        plan = BudgetPlan(n_single + k * n_multi, n_single, n_multi, k,
+                          n_unlabeled=n_unlabeled, selection_strategy=selection)
+        split = allocate_budget(pool, plan, seed=seed, vocab=vocab)
+        expected = reference_allocation(pool.annotation_lists(), plan, seed, k_classes)
+        for name in ("singles", "multis", "unlabeled"):
+            part = getattr(split, name)
+            rows = [int(uid[1:]) for uid in part.uid]
+            assert list(zip(rows, part.annotation_lists())) == expected[name], name
+            assert np.array_equal(part.X, pool.X[rows])
 
     def test_deterministic_given_seed(self):
         pool = make_pool(120)
@@ -203,16 +276,16 @@ class TestAllocateBudget:
         pool = generate_synthetic_pool(cfg)
         plan = BudgetPlan(1000, 0, 10, 100)
         split = allocate_budget(pool, plan, seed=2, vocab=VOCAB)
-        by_uid = {ex.uid: ex for ex in pool}
+        by_uid = dict(zip(pool.uid, pool.counter))
         for ex in split.multis:
-            counter = by_uid[ex.uid].label_counter
+            counter = by_uid[ex.uid]
             dist = aggregate_annotations(ex.annotations, "distribution", VOCAB)
-            expected = np.array([counter.get(c, 0) for c in range(3)]) / 100
+            expected = np.array([counter[c] for c in range(3)]) / 100
             assert np.array_equal(dist, expected)
 
     def test_entropy_selection_ordering(self):
         pool = make_pool(200, seed=4)
-        by_uid = {ex.uid: annotation_entropy(ex.annotations, VOCAB) for ex in pool}
+        by_uid = dict(zip(pool.uid, entropy_rows(pool.label_distribution(VOCAB.size))))
         low = allocate_budget(
             pool, BudgetPlan(300, 0, 30, 10, selection_strategy="low_entropy"), 7, VOCAB
         )
@@ -229,7 +302,10 @@ class TestAllocateBudget:
         split = allocate_budget(pool, plan, seed=0, vocab=VOCAB)
         manifest = split_manifest(plan, split)
         assert manifest["label_total"] == 40
-        split.singles[0].annotations.append(E)  # corrupt
+        singles = split.singles
+        corrupt = Corpus(singles.uid, singles.X, np.append(singles.labels, E),
+                         np.append(singles.offsets[:-1], len(singles.labels) + 1))
+        split = CorpusSplit(corrupt, split.multis, split.unlabeled)  # one label too many
         with pytest.raises(CorpusError, match="41 labels"):
             split_manifest(plan, split)
 
@@ -249,8 +325,8 @@ class TestGenerateSyntheticPool:
             ambiguous_fraction=0.0, dirichlet_sharp=1e9, seed=3,
         )
         pool = generate_synthetic_pool(cfg)
-        for ex in pool:
-            assert ex.true_dist.max() > 1 - 1e-6
+        for ex, true_dist in zip(pool, pool.true_dist):
+            assert true_dist.max() > 1 - 1e-6
             assert len(set(ex.annotations)) == 1  # unanimous reservoir
 
     def test_mean_entropy_matches_monte_carlo_oracle(self):
@@ -266,23 +342,23 @@ class TestGenerateSyntheticPool:
         )
         pool = generate_synthetic_pool(cfg)
         entropies = [
-            -np.sum(ex.true_dist[ex.true_dist > 0] * np.log(ex.true_dist[ex.true_dist > 0]))
-            for ex in pool
+            -np.sum(true_dist[true_dist > 0] * np.log(true_dist[true_dist > 0]))
+            for true_dist in pool.true_dist
         ]
         assert abs(np.mean(entropies) - mc_mean) < 3 * mc_std / np.sqrt(len(pool))
 
     def test_counter_sums_to_reservoir_size(self):
         pool = generate_synthetic_pool(SyntheticConfig(n_examples=25, k_classes=3, d_feat=3, seed=1))
-        for ex in pool:
-            assert sum(ex.label_counter.values()) == 100
+        for ex, counter, old_label in zip(pool, pool.counter, pool.old_label):
+            assert sum(counter) == 100
             assert len(ex.annotations) == 100
-            assert ex.old_label in (0, 1, 2)
+            assert old_label in (0, 1, 2)
 
     def test_reservoir_matches_counter(self):
         pool = generate_synthetic_pool(SyntheticConfig(n_examples=10, k_classes=3, d_feat=3, seed=8))
-        for ex in pool:
+        for ex, counter in zip(pool, pool.counter):
             counts = np.bincount(ex.annotations, minlength=3)
-            assert {c: int(n) for c, n in enumerate(counts) if n} == ex.label_counter
+            assert counts.tolist() == counter.tolist()
 
     def test_config_validation(self):
         with pytest.raises(CorpusError):
@@ -309,17 +385,17 @@ class TestGenerateSyntheticPool:
         for i, ex in enumerate(pool):
             assert ex.uid == f"ex-{seed}-{i:06d}"
             assert ex.features.shape == (k + extra_d,)
-            assert len(validate_distribution(ex.true_dist)) == k
+            assert len(validate_distribution(pool.true_dist[i])) == k
             counts = np.bincount(ex.annotations, minlength=k)
             assert len(counts) == k and counts.sum() == 100
-            assert ex.label_counter == {c: int(m) for c, m in enumerate(counts) if m}
-            assert 0 <= ex.old_label < k
+            assert pool.counter[i].tolist() == counts.tolist()
+            assert 0 <= pool.old_label[i] < k
         assert generate_synthetic_pool(cfg) == pool
 
     def test_reservoir_frequencies_match_mean_true_dist(self):
         pool = generate_synthetic_pool(SyntheticConfig(n_examples=4000, k_classes=3, d_feat=3, seed=4))
         freq = np.bincount(np.concatenate([ex.annotations for ex in pool]), minlength=3) / (4000 * 100)
-        mean_true = np.mean([ex.true_dist for ex in pool], axis=0)
+        mean_true = np.mean(pool.true_dist, axis=0)
         assert np.abs(freq - mean_true).max() < 0.01
 
 
@@ -332,7 +408,7 @@ class TestCorpusIO:
         assert loaded == pool
 
     def test_round_trip_with_empty_annotations(self, tmp_path):
-        pool = [AnnotatedExample(uid="u1", features=np.array([0.5, -1.0]), annotations=[])]
+        pool = Corpus.from_rows(["u1"], np.array([[0.5, -1.0]]), [[]])
         path = tmp_path / "p.jsonl"
         save_corpus(pool, path, VOCAB)
         assert load_corpus(path, VOCAB) == pool
@@ -391,6 +467,40 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="line 3 has 1 features, the first record has 2"):
             load_corpus(path, VOCAB)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(
+        ["non-finite x", "bad true_dist", "unknown label", "feature dimension", "missing uid"]))
+    def test_bad_line_is_named(self, data, kind):
+        n = data.draw(st.integers(50, 300), label="rows")
+        lineno = data.draw(st.integers(2 if kind == "feature dimension" else 1, n), label="line")
+        pool = generate_synthetic_pool(SyntheticConfig(n_examples=n, k_classes=3, d_feat=4, seed=n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pool.jsonl"
+            save_corpus(pool, path, VOCAB)
+            lines = path.read_text().splitlines(keepends=True)
+            rec = json.loads(lines[lineno - 1])
+            uid = rec["uid"]
+            if kind == "non-finite x":
+                rec["x"][data.draw(st.integers(0, 3), label="entry")] = math.nan
+                message = f"line {lineno}: record {uid}: 'x' must be a 1-D vector of finite numbers"
+            elif kind == "bad true_dist":
+                rec["true_dist"] = [0.5, 0.25, 0.125]
+                message = f"line {lineno}: record {uid}: true_dist: distribution sums to 0.875, expected 1"
+            elif kind == "unknown label":
+                rec["labels"][data.draw(st.integers(0, 99), label="label")] = "Z"
+                message = f"line {lineno}: record {uid}: label 'Z' not in vocab"
+            elif kind == "feature dimension":
+                rec["x"].append(0.0)
+                message = f"line {lineno} has 5 features, the first record has 4"
+            else:
+                del rec["uid"]
+                message = f"line {lineno}: record is missing a string 'uid' field"
+            lines[lineno - 1] = json.dumps(rec, sort_keys=True) + "\n"
+            path.write_text("".join(lines))
+            with pytest.raises(CorpusError) as info:
+                load_corpus(path, VOCAB)
+            assert str(info.value) == f"{path}: {message}"
+
     def test_dense_counter_record(self, tmp_path):
         rec = {
             "uid": "c1",
@@ -403,10 +513,10 @@ class TestCorpusIO:
         rec["old_label"] = "e"
         path = tmp_path / "dense.jsonl"
         path.write_text(json.dumps(rec) + "\n")
-        ex = load_corpus(path, vocab)[0]
-        assert sum(ex.label_counter.values()) == 100
-        assert ex.label_counter == {0: 7, 1: 93}
-        assert ex.old_label == 0
+        ex = load_corpus(path, vocab)
+        assert sum(ex.counter[0]) == 100
+        assert ex.counter[0].tolist() == [7, 93, 0]
+        assert ex.old_label[0] == 0
 
     def test_vocab_file_round_trip(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -430,9 +540,9 @@ class TestAtomicWrite:
         pool = make_pool(3)
         save_corpus(pool, path, VOCAB)
         before = path.read_bytes()
-        bad = make_pool(3, seed=1)
-        bad[2].annotations = [7]  # no such label: fails after two records are written
-        with pytest.raises(IndexError):
+        good = make_pool(3, seed=1)
+        bad = Corpus(good.uid, good.X, np.append(good.labels[:-1], 7), good.offsets)
+        with pytest.raises(IndexError):  # no such label: fails inside the write
             save_corpus(bad, path, VOCAB)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["pool.jsonl"]

@@ -1,6 +1,7 @@
 """Metric tests: divergences, accuracies, typing metrics, report assembly."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from mixbudget.calibrate import temp_scale
-from mixbudget.corpus import AnnotatedExample
+from mixbudget.corpus import Corpus
 from mixbudget.metrics import (
     MetricsError,
     accuracy_old_new,
-    entropy,
     entropy_histogram,
+    entropy_rows,
     evaluate_distribution,
     evaluate_typing,
-    jsd,
-    kl_div,
+    jsd_rows,
+    kl_rows,
     macro_prf,
     mrr,
     read_report_summary,
@@ -27,15 +28,43 @@ from mixbudget.metrics import (
 )
 
 
+def kl_div(p, q):
+    return float(kl_rows([p], [q])[0])
+
+
+def jsd(p, q):
+    return float(jsd_rows([p], [q])[0])
+
+
+def entropy(p):
+    return float(entropy_rows([p])[0])
+
+
 def eval_example(uid, pred_dim=3, old_label=0, counter=None, true_dist=None):
-    return AnnotatedExample(
-        uid=uid,
-        features=np.zeros(2),
-        annotations=[],
-        old_label=old_label,
-        label_counter=counter or {0: 100},
-        true_dist=true_dist,
-    )
+    """One evaluation row's values; ``eval_corpus`` stacks rows into a corpus."""
+    return SimpleNamespace(uid=uid, old_label=old_label, label_counter=counter or {0: 100},
+                           true_dist=true_dist)
+
+
+def bare_example(uid, true_dist=None):
+    """A row without votes: no old label and no annotation counter."""
+    return SimpleNamespace(uid=uid, old_label=None, label_counter=None, true_dist=true_dist)
+
+
+def eval_corpus(examples, k=3):
+    """Stack rows into a corpus; a row without a side value holds NaNs, -1 or zeros there."""
+    def column(values, blank):
+        if all(v is None for v in values):
+            return None
+        return np.array([blank if v is None else v for v in values])
+
+    counters = [None if ex.label_counter is None else [ex.label_counter.get(c, 0) for c in range(k)]
+                for ex in examples]
+    return Corpus.from_rows([ex.uid for ex in examples], np.zeros((len(examples), 2)),
+                            [[] for _ in examples],
+                            true_dist=column([ex.true_dist for ex in examples], [np.nan] * k),
+                            old_label=column([ex.old_label for ex in examples], -1),
+                            counter=column(counters, [0] * k))
 
 
 class TestKLDivergence:
@@ -140,7 +169,7 @@ class TestAccuracyOldNew:
     def test_disagreeing_references_count_separately(self):
         # prediction argmax N, old label E, dense counter majority N
         ex = eval_example("a", old_label=0, counter={1: 93, 0: 7})
-        acc_old, acc_new = accuracy_old_new([[0.1, 0.8, 0.1]], [ex])
+        acc_old, acc_new = accuracy_old_new([[0.1, 0.8, 0.1]], eval_corpus([ex]))
         assert (acc_old, acc_new) == (0.0, 1.0)
 
     def test_perfect_predictions(self):
@@ -149,7 +178,7 @@ class TestAccuracyOldNew:
             eval_example("b", old_label=0, counter={0: 90, 2: 10}),
         ]
         preds = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
-        assert accuracy_old_new(preds, exs) == (1.0, 1.0)
+        assert accuracy_old_new(preds, eval_corpus(exs)) == (1.0, 1.0)
 
     def test_uniform_predictions_tie_to_first_label(self):
         old_labels = [0, 1, 2, 0, 1]
@@ -159,14 +188,14 @@ class TestAccuracyOldNew:
             for i, (o, m) in enumerate(zip(old_labels, majorities))
         ]
         preds = [[1 / 3] * 3] * 5  # argmax tie -> label 0
-        acc_old, acc_new = accuracy_old_new(preds, exs)
+        acc_old, acc_new = accuracy_old_new(preds, eval_corpus(exs))
         assert acc_old == pytest.approx(2 / 5)   # old labels 0 at positions 0, 3
         assert acc_new == pytest.approx(3 / 5)   # majorities 0 at positions 0, 1, 4
 
     def test_missing_gold_fields_name_uid(self):
-        ex = AnnotatedExample("nolabels", np.zeros(2), [])
+        ex = bare_example("nolabels")
         with pytest.raises(MetricsError, match="nolabels"):
-            accuracy_old_new([[1.0, 0.0, 0.0]], [ex])
+            accuracy_old_new([[1.0, 0.0, 0.0]], eval_corpus([ex]))
 
 
 class TestMacroPRF:
@@ -217,7 +246,7 @@ class TestEvalReport:
                 )
             )
             preds.append(rng.dirichlet(np.ones(3)))
-        return evaluate_distribution(np.array(preds), exs, 3), exs, preds
+        return evaluate_distribution(np.array(preds), eval_corpus(exs), 3), exs, preds
 
     def test_summary_equals_per_example_means(self):
         report, _, _ = self.make_report()
@@ -238,8 +267,8 @@ class TestEvalReport:
 
     def test_kl_direction_configurable(self):
         _, exs, preds = self.make_report()
-        fwd = evaluate_distribution(np.array(preds), exs, 3, kl_direction="human_model")
-        rev = evaluate_distribution(np.array(preds), exs, 3, kl_direction="model_human")
+        fwd = evaluate_distribution(np.array(preds), eval_corpus(exs), 3, kl_direction="human_model")
+        rev = evaluate_distribution(np.array(preds), eval_corpus(exs), 3, kl_direction="model_human")
         assert fwd.kl != rev.kl
 
     def test_true_dist_gold_source(self):
@@ -249,16 +278,15 @@ class TestEvalReport:
             true = rng.dirichlet(np.ones(3))
             exs.append(eval_example(f"g{i}", true_dist=true))
             preds.append(rng.dirichlet(np.ones(3)))
-        report = evaluate_distribution(np.array(preds), exs, 3, gold_source="true_dist")
+        report = evaluate_distribution(np.array(preds), eval_corpus(exs), 3, gold_source="true_dist")
         expected = np.mean([kl_div(ex.true_dist, p) for ex, p in zip(exs, preds)])
         assert report.kl == pytest.approx(expected, abs=1e-12)
 
     def test_true_dist_only_corpus_omits_accuracy(self):
         rng = np.random.default_rng(6)
-        exs = [AnnotatedExample(f"u{i}", np.zeros(2), [], true_dist=rng.dirichlet(np.ones(3)))
-               for i in range(5)]
+        exs = [bare_example(f"u{i}", true_dist=rng.dirichlet(np.ones(3))) for i in range(5)]
         preds = rng.dirichlet(np.ones(3), size=5)
-        report = evaluate_distribution(preds, exs, 3, gold_source="true_dist")
+        report = evaluate_distribution(preds, eval_corpus(exs), 3, gold_source="true_dist")
         summary = report.summary()
         assert "acc_old" not in summary and "acc_new" not in summary
         for rec in report.per_example:
@@ -268,7 +296,7 @@ class TestEvalReport:
         # vote fields on only some examples still fail, naming the first without
         exs[2] = eval_example("u2", true_dist=exs[2].true_dist)
         with pytest.raises(MetricsError, match="u0: missing old_label"):
-            evaluate_distribution(preds, exs, 3, gold_source="true_dist")
+            evaluate_distribution(preds, eval_corpus(exs), 3, gold_source="true_dist")
 
     def test_file_round_trip(self, tmp_path):
         report, _, _ = self.make_report()
@@ -312,6 +340,7 @@ class TestTemperatureInvariance:
             )
             for i in range(30)
         ]
+        exs = eval_corpus(exs)
         base = accuracy_old_new(temp_scale(logits, 1.0), exs)
         for T in (0.01, 0.5, 3.0, 100.0):
             assert accuracy_old_new(temp_scale(logits, T), exs) == base

@@ -15,7 +15,7 @@ from mixbudget.model import (
     adam_step,
     batch_multilabel_bce,
     batch_soft_cross_entropy,
-    forward_multilabel,
+    forward_scores,
     forward_softmax,
     grad_batch,
     init_adam,
@@ -188,20 +188,20 @@ class TestAdam:
 class TestMultilabelHead:
     def test_zero_parameters_score_half(self):
         params = zero_net(4, (8,), 5, head="sigmoid")
-        s = forward_multilabel(params, np.ones(4))
+        s = forward_scores(params, np.ones(4))
         assert np.allclose(s, 0.5, atol=1e-12)
 
     def test_monotone_in_own_logit(self):
         params = identity_net(3, head="sigmoid")
-        lo = forward_multilabel(params, np.array([0.0, 1.0, -1.0]))
-        hi = forward_multilabel(params, np.array([0.5, 1.0, -1.0]))
+        lo = forward_scores(params, np.array([0.0, 1.0, -1.0]))
+        hi = forward_scores(params, np.array([0.5, 1.0, -1.0]))
         assert hi[0] > lo[0]
         assert hi[1] == lo[1] and hi[2] == lo[2]
 
     def test_scores_in_open_interval(self):
         rng = np.random.default_rng(8)
         params = init_params(6, (12,), 9, head="sigmoid", seed=1)
-        S = forward_multilabel(params, rng.normal(size=(30, 6)))
+        S = forward_scores(params, rng.normal(size=(30, 6)))
         assert np.all(S > 0) and np.all(S < 1)
 
     @settings(max_examples=200, deadline=None)
@@ -316,8 +316,8 @@ class TestOptimizerSanity:
             dirichlet_sharp=1e9, feature_noise_sigma=0.05, seed=21,
         )
         pool = generate_synthetic_pool(cfg)
-        X = np.stack([ex.features for ex in pool])
-        T = np.stack([ex.true_dist for ex in pool])
+        X = pool.X
+        T = pool.true_dist
         params = init_params(4, (64,), 3, seed=0)
         state = init_adam(params, lr=1e-2)
         loss = np.inf

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from mixbudget.corpus import AnnotatedExample, CorpusSplit, LabelVocab
+from mixbudget.corpus import Corpus, CorpusSplit, LabelVocab
 from mixbudget.model import (
     ClassifierParams,
     batch_soft_cross_entropy,
-    forward_multilabel,
+    forward_scores,
     forward_softmax,
     init_params,
     predict_types,
@@ -40,18 +40,26 @@ def identity_net(k):
     return ClassifierParams(weights=[np.eye(k)], biases=[np.zeros(k)])
 
 
-def toy_split(n_s=6, n_m=4, n_u=5, k=10, seed=0):
+def rows(*examples, d=2):
+    """A corpus of (uid, features, annotations) rows."""
+    uids = [uid for uid, _, _ in examples]
+    X = np.reshape([x for _, x, _ in examples], (len(examples), d))
+    return Corpus.from_rows(uids, X, [annotations for _, _, annotations in examples])
+
+
+def toy_split(n_s=6, n_m=4, n_u=5, k=10, seed=0, nan_feature=False):
     rng = np.random.default_rng(seed)
     def ex(uid, n_ann):
         p = rng.dirichlet(np.ones(3))
-        return AnnotatedExample(
-            uid=uid, features=rng.normal(size=4),
-            annotations=[int(a) for a in rng.choice(3, size=n_ann, p=p)],
-        )
+        x = rng.normal(size=4)
+        annotations = [int(a) for a in rng.choice(3, size=n_ann, p=p)]
+        if nan_feature and uid == "s0":
+            x[1] = np.nan
+        return uid, x, annotations
     return CorpusSplit(
-        singles=[ex(f"s{i}", 1) for i in range(n_s)],
-        multis=[ex(f"m{i}", k) for i in range(n_m)],
-        unlabeled=[ex(f"u{i}", 0) for i in range(n_u)],
+        singles=rows(*[ex(f"s{i}", 1) for i in range(n_s)], d=4),
+        multis=rows(*[ex(f"m{i}", k) for i in range(n_m)], d=4),
+        unlabeled=rows(*[ex(f"u{i}", 0) for i in range(n_u)], d=4),
     )
 
 
@@ -67,34 +75,34 @@ def spec_for(kind, **kw):
 class TestMakeTargets:
     def test_multi_frequency_target(self):
         split = CorpusSplit(
-            singles=[],
-            multis=[AnnotatedExample("m", np.zeros(2), [N] * 7 + [E] * 3)],
-            unlabeled=[],
+            singles=rows(),
+            multis=rows(("m", np.zeros(2), [N] * 7 + [E] * 3)),
+            unlabeled=rows(),
         )
         data = make_targets(split, VOCAB, spec_for("ce_combined"))
         assert np.allclose(data["m"][1][0], [0.3, 0.7, 0.0])
 
     def test_single_one_hot(self):
         split = CorpusSplit(
-            singles=[AnnotatedExample("s", np.zeros(2), [C])], multis=[], unlabeled=[]
+            singles=rows(("s", np.zeros(2), [C])), multis=rows(), unlabeled=rows()
         )
         data = make_targets(split, VOCAB, spec_for("ce_combined"))
         assert np.array_equal(data["s"][1][0], [0.0, 0.0, 1.0])
 
     def test_prediction_mode_majority_with_tie(self):
         split = CorpusSplit(
-            singles=[],
-            multis=[AnnotatedExample("m", np.zeros(2), [E] * 5 + [N] * 5)],
-            unlabeled=[],
+            singles=rows(),
+            multis=rows(("m", np.zeros(2), [E] * 5 + [N] * 5)),
+            unlabeled=rows(),
         )
         data = make_targets(split, VOCAB, spec_for("ce_combined", target_mode="prediction"))
         assert np.array_equal(data["m"][1][0], [1.0, 0.0, 0.0])  # tie -> E
 
     def test_typing_targets_are_multi_hot(self):
         split = CorpusSplit(
-            singles=[AnnotatedExample("s", np.zeros(2), [C])],
-            multis=[AnnotatedExample("m", np.zeros(2), [E, N])],
-            unlabeled=[],
+            singles=rows(("s", np.zeros(2), [C])),
+            multis=rows(("m", np.zeros(2), [E, N])),
+            unlabeled=rows(),
         )
         data = make_targets(split, VOCAB, spec_for("ce_combined", head="sigmoid"))
         assert np.array_equal(data["s"][1][0], [0.0, 0.0, 1.0])
@@ -183,7 +191,7 @@ class TestPseudoLabel:
         # must agree with predict_types row by row
         X = np.array([[3.0, -3.0, 3.0], [-1.0, -0.2, -2.0], [0.1, 0.0, -0.1]])
         Y = pseudo_label(params, X)
-        for row, scores in zip(Y, forward_multilabel(params, X)):
+        for row, scores in zip(Y, forward_scores(params, X)):
             assert set(np.flatnonzero(row).tolist()) == predict_types(scores)
         assert np.array_equal(Y[1], [0.0, 1.0, 0.0])
 
@@ -313,7 +321,7 @@ class TestCompositeGradient:
 class TestRunStrategy:
     def test_curriculum_without_finetune_equals_single_only(self):
         split = toy_split()
-        singles_only = CorpusSplit(singles=split.singles, multis=[], unlabeled=[])
+        singles_only = CorpusSplit(singles=split.singles, multis=rows(d=4), unlabeled=rows(d=4))
         spec_a = spec_for("ce_curriculum", iterations_finetune=0)
         spec_b = spec_for("ce_combined")
         params_a, _ = run_strategy(spec_a, split, VOCAB)
@@ -368,12 +376,13 @@ class TestRunStrategy:
         # far more often than the 2/62 share that plain combination gives
         rng = np.random.default_rng(11)
         singles = [
-            AnnotatedExample(f"s{i}", rng.normal(size=3), [E]) for i in range(60)
+            (f"s{i}", rng.normal(size=3), [E]) for i in range(60)
         ]
         multis = [
-            AnnotatedExample(f"m{i}", rng.normal(size=3), [C] * 10) for i in range(2)
+            (f"m{i}", rng.normal(size=3), [C] * 10) for i in range(2)
         ]
-        split = CorpusSplit(singles=singles, multis=multis, unlabeled=[])
+        split = CorpusSplit(singles=rows(*singles, d=3), multis=rows(*multis, d=3),
+                            unlabeled=rows(d=3))
         kw = dict(iterations_main=300, lr=5e-3, hidden_sizes=(8,),
                   mixup=MixupConfig(batch_size=16), seed=0)
         up, _ = run_strategy(spec_for("ce_upsampling", **kw), split, VOCAB)
@@ -399,8 +408,7 @@ class TestRunStrategy:
         assert TrainLog.read(path).entries == log.entries
 
     def test_non_finite_step_is_never_applied(self, monkeypatch):
-        split = toy_split(n_s=1)
-        split.singles[0].features[1] = np.nan
+        split = toy_split(n_s=1, nan_feature=True)
         calls = []
         monkeypatch.setattr(strategies, "adam_step", lambda *a: calls.append(a))
         with pytest.raises(StrategyError, match="non-finite"):

@@ -36,6 +36,8 @@ if TYPE_CHECKING:  # for annotations; each command imports what it runs
     from .strategies import StrategySpec
 
 TASKS = ("distribution", "typing")
+CONFIG_KEYS = ("task", "vocab", "corpus", "outdir", "seeds", "workers", "plan", "split_seed", "strategy",
+               "calibration", "eval_path", "histogram_bins", "gold_source", "kl_direction", "threshold")
 
 
 class ConfigError(ValueError):
@@ -51,6 +53,8 @@ def load_config(path) -> dict:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    if unknown := sorted(set(cfg) - set(CONFIG_KEYS)):
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     for key in ("task", "vocab", "corpus", "outdir"):
         if key not in cfg:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -309,8 +313,9 @@ def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=No
         raise ConfigError("calibration supports the distribution task only")
     if "calibration" not in cfg:
         raise ConfigError("config has no calibration section")
-    method = cfg["calibration"]["method"]
-    cal.CalibrationConfig(method=method)  # validates the name
+    calibration = cal.CalibrationConfig(
+        **_known_keys(cal.CalibrationConfig, cfg["calibration"], "calibration"))
+    method = calibration.method
     inputs = inputs or _Inputs(cfg)
     vocab, examples = inputs.vocab, inputs.eval_set
     if params is None:
@@ -318,16 +323,14 @@ def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=No
     logits = forward_logits(params, examples.X)
     raw_preds = softmax(logits)
 
-    target = cfg["calibration"].get("target_entropy")
+    target = calibration.target_entropy
     if target is None:
         gold = gold_rows(examples, vocab.size, cfg.get("gold_source", "counter"))
         target = float(np.mean(entropy_rows(gold)))
 
-    fixed = cfg["calibration"].get("scalar")
-
     def tune(values):
-        if fixed is not None:
-            return cal.TuneResult(float(fixed), float("nan"), warning=False)
+        if calibration.scalar is not None:
+            return cal.TuneResult(float(calibration.scalar), float("nan"), warning=False)
         return cal.tune_entropy_match(method, values, target)
 
     if method == "temp_scaling":
@@ -375,8 +378,7 @@ _sweep_inputs: _Inputs | None = None
 
 
 def _sweep_worker(cfg_json: str, seed: int) -> dict:
-    cfg = json.loads(cfg_json)
-    return _run_seed(cfg, seed, _sweep_inputs or _Inputs(cfg))
+    return _run_seed(json.loads(cfg_json), seed, _sweep_inputs)
 
 
 # names of the OpenBLAS thread-count setter across its builds

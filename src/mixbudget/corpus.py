@@ -25,6 +25,8 @@ OLD_LABEL_WAYS = 5          # annotator count behind the "old" majority label
 PROTOTYPE_SCALE = 4.0       # length of the per-class feature prototypes
 BLOCK_ROWS = 256            # rows drawn or saved at a time, to bound the temporaries
 LABEL_DTYPE = np.int16      # label indices, so a vocab holds at most 32768 names
+DIST_TOL = 1e-9             # slack on a probability vector's entries and sum
+_X_FAULT = "'x' must be a 1-D vector of finite numbers"
 
 SELECTION_STRATEGIES = ("random", "low_entropy", "high_entropy")
 
@@ -36,7 +38,9 @@ class CorpusError(ValueError):
 @dataclass(frozen=True)
 class LabelVocab:
     """Ordered label identifiers. Position in ``names`` is the canonical
-    tie-break order used everywhere a winner must be picked among equals."""
+    tie-break order used everywhere a winner must be picked among equals.
+    A name is a string with a non-blank character and no line break, so it
+    survives the vocab file."""
 
     names: tuple[str, ...]
     _positions: dict = field(init=False, repr=False, compare=False)
@@ -44,6 +48,9 @@ class LabelVocab:
     def __post_init__(self):
         if len(self.names) == 0:
             raise CorpusError("vocab must be non-empty")
+        for name in self.names:
+            if not isinstance(name, str) or not name.strip() or "\n" in name or "\r" in name:
+                raise CorpusError(f"vocab name {name!r} needs a non-blank character and no line break")
         if len(set(self.names)) != len(self.names):
             raise CorpusError("vocab names must be unique")
         if len(self.names) > np.iinfo(LABEL_DTYPE).max + 1:
@@ -62,7 +69,7 @@ class LabelVocab:
             raise CorpusError(f"label {name!r} not in vocab") from None
 
 
-def validate_distribution(probs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def validate_distribution(probs: np.ndarray, tol: float = DIST_TOL) -> np.ndarray:
     """Check that ``probs`` is a probability vector; returns it as float64."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
@@ -388,7 +395,7 @@ def generate_synthetic_pool(config: SyntheticConfig) -> Corpus:
 # file I/O
 # ---------------------------------------------------------------------------
 # Corpus files are UTF-8, line-delimited JSON: one example per line with
-# fields "uid", "x", "labels" (names, possibly empty) and optional
+# fields "uid", "x" (numbers), "labels" (names, possibly empty) and optional
 # "true_dist", "old_label", "label_counter" (its nonzero counts). Vocab
 # files hold one label name per line in canonical order.
 
@@ -436,103 +443,93 @@ def _json_rows(matrix: np.ndarray) -> list[str]:
 
 
 def load_corpus(path, vocab: LabelVocab) -> Corpus:
-    """Read a corpus file. Errors name the file and the first bad line."""
-    try:
-        return _read_columns(path, vocab)
-    except (CorpusError, LookupError, TypeError, ValueError, AttributeError):
-        _check_lines(path, vocab)
-        raise
-
-
-def _read_columns(path, vocab: LabelVocab, tol: float = 1e-9) -> Corpus:
-    """The corpus in ``path``, read into columns line by line. Raises on a
-    bad record without naming it; ``_check_lines`` then finds it."""
+    """Read a corpus file in one pass: each record's fields are checked as it is
+    read, the numbers on whole columns after. Errors name the first bad line."""
     k, positions = vocab.size, vocab._positions
-    uid, X, lengths, labels = [], [], [], array("h")  # LABEL_DTYPE
-    side = {key: [] for key in ("true_dist", "old_label", "label_counter")}
+    rows, labels, cells, counts = [], array("h"), [], []  # labels: LABEL_DTYPE
+    absent = [np.nan] * k  # the true_dist of a row without one
+    width, has_counter, fault = 0, False, None
     with open(path, encoding="utf-8") as f:
-        for line in filter(str.strip, f):
-            rec = json.loads(line)
-            uid.append(rec["uid"])
-            X.append(rec["x"])
-            names = rec.get("labels", [])
-            labels.extend(map(positions.__getitem__, names))
-            lengths.append(len(names))
-            for key, values in side.items():
-                values.append(rec.get(key))
-    n = len(uid)
-    X = np.array(X, dtype=np.float64) if n else np.zeros((0, 0))
-    if not all(isinstance(u, str) and u for u in uid) or X.ndim != 2 or not np.isfinite(X).all():
-        raise CorpusError("bad uid or features")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    dists, olds, counters = side.values()
-    true_dist = old_label = counter = None
-    if any(p is not None for p in dists):
-        true_dist = np.array([[np.nan] * k if p is None else p for p in dists], dtype=np.float64)
-        P = true_dist[[p is not None for p in dists]]
-        if (P.shape[1:] != (k,) or not ((P >= -tol) & (P <= 1 + tol)).all()
-                or (np.abs(P.sum(axis=1) - 1.0) > tol).any()):
-            raise CorpusError("bad true_dist")
-    if any(c is not None for c in olds):
-        old_label = [-1 if c is None else positions[c] for c in olds]
-    if any(c is not None for c in counters):
-        counter = np.zeros((n, k), dtype=np.int64)
-        for i, row in enumerate(counters):
-            for name, m in (row or {}).items():
-                counter[i, positions[name]] = int(m)
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    if type(rec) is not dict:
+                        raise ValueError("not an object")
+                except ValueError as e:
+                    raise CorpusError(f"malformed record on line {lineno}: {e}") from None
+                u, x, names, p = rec.get("uid"), rec.get("x"), rec.get("labels", []), rec.get("true_dist")
+                if type(u) is not str or not u:
+                    raise CorpusError(f"line {lineno}: record is missing a string 'uid' field")
+                try:
+                    if type(x) is not list:
+                        raise CorpusError(_X_FAULT if "x" in rec else "missing 'x' field")
+                    if type(names) is not list:
+                        raise CorpusError("'labels' must be a list of label names")
+                    try:
+                        labels.extend(map(positions.__getitem__, names))
+                    except (KeyError, TypeError):
+                        list(map(vocab.index, names))  # raises naming the first unknown label
+                    if p is not None and (type(p) is not list or len(p) != k):
+                        raise CorpusError(f"true_dist has {len(p)} entries, vocab has {k}" if type(p) is list
+                                          else "true_dist must be a list of probabilities")
+                    if (o := rec.get("old_label")) is not None and (type(o) is not str or o not in positions):
+                        raise CorpusError(f"old_label {o!r} not in vocab")
+                    if (c := rec.get("label_counter")) is not None and type(c) is not dict:
+                        raise CorpusError("label_counter must be an object of label counts")
+                    for name, m in (c or {}).items():
+                        if name not in positions or type(m) is not int or not 0 <= m < 1 << 63:
+                            raise CorpusError(f"label_counter {{{name!r}: {m!r}}} is not a non-negative "
+                                              f"integer count of a vocab label")
+                        cells.append(len(rows) * k + positions[name])
+                        counts.append(m)
+                except CorpusError as e:
+                    raise CorpusError(f"line {lineno}: record {u}: {e}") from None
+                width = width if rows else len(x)
+                if len(x) != width:
+                    raise CorpusError(f"line {lineno} has {len(x)} features, the first record has {width}")
+                rows.append((u, x, len(names), p or absent, positions.get(o, -1), lineno))
+                has_counter |= c is not None
+        except CorpusError as e:
+            fault = e
+
+    # numbers, on whole columns; every row read precedes the line of ``fault``
+    uid, X, lengths, dists, olds, lines = zip(*rows) if rows else ((),) * 6
+    X, true_dist = _float_rows(X, width), _float_rows(dists, k)
+    present = np.array([p is not absent for p in dists], dtype=bool)
+    in_range = ((true_dist >= -DIST_TOL) & (true_dist <= 1 + DIST_TOL)).all(axis=1)
+    bad = ~np.isfinite(X).all(axis=1) | present & ~(in_range & (abs(true_dist.sum(axis=1) - 1) <= DIST_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        try:
+            if np.isfinite(X[i]).all():
+                validate_distribution(true_dist[i])
+        except CorpusError as e:
+            raise CorpusError(f"{path}: line {lines[i]}: record {uid[i]}: true_dist: {e}") from None
+        raise CorpusError(f"{path}: line {lines[i]}: record {uid[i]}: {_X_FAULT}")
+    if fault is not None:
+        raise CorpusError(f"{path}: {fault}")
+    counter = np.zeros(len(rows) * k, dtype=np.int64)
+    counter[np.array(cells, dtype=np.int64)] = counts
     return Corpus(np.array(uid, dtype=object), X, np.frombuffer(labels, dtype=LABEL_DTYPE),
-                  offsets, true_dist, old_label, counter)
+                  np.cumsum((0, *lengths)), true_dist if present.any() else None,
+                  olds if max(olds, default=-1) >= 0 else None,
+                  counter.reshape(-1, k) if has_counter else None)
 
 
-def _check_lines(path, vocab: LabelVocab) -> None:
-    """Check the records of ``path`` one at a time; raises naming the first bad line."""
-    widths = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: malformed record on line {lineno}: {e}") from None
-            if not isinstance(rec, dict):
-                raise CorpusError(f"{path}: malformed record on line {lineno}: not an object")
-            try:
-                widths.append(_check_record(rec, vocab))
-            except CorpusError as e:
-                raise CorpusError(f"{path}: line {lineno}: {e}") from None
-            if widths[-1] != widths[0]:
-                raise CorpusError(f"{path}: line {lineno} has {widths[-1]} features, "
-                                  f"the first record has {widths[0]}")
-
-
-def _check_record(rec: dict, vocab: LabelVocab) -> int:
-    """Raise the first fault of one record; returns its feature count."""
-    uid = rec.get("uid")
-    if not isinstance(uid, str) or not uid:
-        raise CorpusError("record is missing a string 'uid' field")
+def _float_rows(rows: tuple, width: int) -> np.ndarray:
+    """``rows``, each ``width`` entries, as float64; a row not all numbers ("1.5" is not) reads as NaNs."""
     try:
-        if "x" not in rec:
-            raise CorpusError("missing 'x' field")
-        for name in rec.get("labels", []):
-            vocab.index(name)
-        x = np.asarray(rec["x"], dtype=np.float64)
-        if x.ndim != 1 or not np.isfinite(x).all():
-            raise CorpusError("'x' must be a 1-D vector of finite numbers")
-        if rec.get("true_dist") is not None:
-            try:
-                true_dist = validate_distribution(rec["true_dist"])
-            except CorpusError as e:
-                raise CorpusError(f"true_dist: {e}") from None
-            if len(true_dist) != vocab.size:
-                raise CorpusError(f"true_dist has {len(true_dist)} entries, vocab has {vocab.size}")
-        old_label = rec.get("old_label")
-        if old_label is not None and old_label not in vocab.names:
-            raise CorpusError(f"old_label {old_label!r} not in vocab")
-        for name in rec.get("label_counter") or ():
-            if name not in vocab.names:
-                raise CorpusError(f"counter label {name!r} not in vocab")
-    except CorpusError as e:
-        raise CorpusError(f"record {uid}: {e}") from None
-    return len(x)
+        matrix = np.array(rows)  # numbers make a number array; an int past int64 an object one
+        if matrix.dtype.kind in "biuf" and (matrix.ndim == 2 or not rows):
+            return matrix.astype(np.float64, copy=False).reshape(len(rows), width)
+        if len(rows) == 1 and all(type(v) in (int, float, bool) for v in rows[0]):
+            return np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if len(rows) == 1:
+        return np.full((1, width), np.nan)
+    half = len(rows) // 2
+    return np.concatenate((_float_rows(rows[:half], width), _float_rows(rows[half:], width)))

@@ -62,12 +62,12 @@ def kl_rows(P, Q, clamp: float = KL_CLAMP) -> np.ndarray:
 
 
 def jsd_rows(P, Q) -> np.ndarray:
-    """Row-wise Jensen-Shannon divergence in log base 2; symmetric, in
-    [0, 1]. The mixture is positive wherever p or q is, so no clamping is
-    needed."""
+    """Row-wise Jensen-Shannon divergence in log base 2; symmetric, clipped to
+    [0, 1] against rounding. The mixture stays positive where p or q is (half
+    of the smallest subnormal p + q would round to 0)."""
     P, Q = (np.atleast_2d(np.asarray(A, dtype=np.float64)) for A in (P, Q))
-    M = 0.5 * (P + Q)
-    return 0.5 * _sum_plogq(P, M, np.log2) + 0.5 * _sum_plogq(Q, M, np.log2)
+    M = np.maximum(0.5 * (P + Q), np.minimum(P + Q, np.nextafter(0.0, 1.0)))
+    return np.clip(0.5 * _sum_plogq(P, M, np.log2) + 0.5 * _sum_plogq(Q, M, np.log2), 0.0, 1.0)
 
 
 def entropy_bin_edges(k_classes: int, n_bins: int = 20) -> np.ndarray:

@@ -465,6 +465,26 @@ class TestConfigValidation:
             err = capsys.readouterr().err.strip().splitlines()[-1]
             assert json.loads(err)["error"] == f"ConfigError: unknown {section} key 'bogus'"
 
+    def test_unknown_top_level_key_fails_naming_it(self, tmp_path, capsys):
+        # a misspelt key would otherwise be ignored, yet move the run directory
+        path = write_config(tmp_path, base_config(tmp_path, histogram_bin=5))
+        assert run_cli("gen", "--config", str(path)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "ConfigError: unknown config key 'histogram_bin'"}]
+
+    def test_unknown_calibration_key_fails_naming_it(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, calibration={"method": "pred_smoothing", "scalr": 3.0})
+        path = write_config(tmp_path, cfg)
+        for command in ("gen", "split", "train"):
+            assert run_cli(command, "--config", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("calibrate", "--config", str(path)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "ConfigError: unknown calibration key 'scalr'"}]
+        assert not (cli.run_dir(cfg, 0) / "report_calibrated.jsonl").exists()
+
     def test_out_flag_overrides_outdir(self, tmp_path):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)

@@ -111,6 +111,23 @@ class TestLabelVocab:
         with pytest.raises(CorpusError):
             VOCAB.index("X")
 
+    @pytest.mark.parametrize("name", ["", "  ", "\t", "a\nb", "a\rb", "c\n"])
+    def test_rejects_names_the_vocab_file_cannot_hold(self, name):
+        with pytest.raises(CorpusError, match="non-blank character and no line break"):
+            LabelVocab(("E", name))
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    def test_accepted_names_survive_the_vocab_file(self, names):
+        try:
+            vocab = LabelVocab(tuple(names))
+        except CorpusError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            save_vocab(vocab, path)
+            assert load_vocab(path) == vocab
+
 
 class TestAggregateAnnotations:
     def test_dense_counter_distribution(self):
@@ -438,6 +455,13 @@ class TestCorpusIO:
         ({"x": [0.0, 1.0], "true_dist": [float("nan"), 0.5, 0.5]}, "true_dist: distribution entries"),
         ({"x": [0.0, 1.0], "true_dist": [0.2, 0.2, 0.2]}, "true_dist: distribution sums"),
         ({"x": [0.0, 1.0], "true_dist": [0.5, 0.5]}, "true_dist has 2 entries, vocab has 3"),
+        ({"x": ["a", 1.0]}, "'x' must be a 1-D vector of finite numbers"),
+        ({"x": ["1.5", 1.0]}, "'x' must be a 1-D vector of finite numbers"),
+        ({"x": [[0.0], [1.0]]}, "'x' must be a 1-D vector of finite numbers"),
+        ({"x": 0.5}, "'x' must be a 1-D vector of finite numbers"),
+        ({"x": [0.0, 1.0], "true_dist": ["a", 0.5, 0.5]}, "true_dist: distribution entries"),
+        ({"x": [0.0, 1.0], "true_dist": ["0.5", "0.5", "0"]}, "true_dist: distribution entries"),
+        ({"x": [0.0, 1.0], "true_dist": "ENC"}, "true_dist must be a list of probabilities"),
     ])
     def test_bad_values_name_uid(self, tmp_path, fields, match):
         path = tmp_path / "bad.jsonl"
@@ -450,6 +474,16 @@ class TestCorpusIO:
         ({"uid": "a", "x": [0.0], "labels": ["Q"]}, "record a: label 'Q' not in vocab"),
         ({"uid": "a", "x": [0.0], "labels": [["E"]]}, "record a: label ['E'] not in vocab"),
         ({"uid": "a", "x": [0.0], "labels": [None]}, "record a: label None not in vocab"),
+        ({"uid": "a", "x": [0.0], "labels": "EN"}, "record a: 'labels' must be a list of label names"),
+        ({"uid": "a", "x": [0.0], "labels": None}, "record a: 'labels' must be a list of label names"),
+        ({"uid": "a", "x": [0.0], "label_counter": {"E": "abc"}},
+         "record a: label_counter {'E': 'abc'} is not a non-negative integer count of a vocab label"),
+        ({"uid": "a", "x": [0.0], "label_counter": {"N": 5, "E": -3}},
+         "record a: label_counter {'E': -3} is not a non-negative integer count of a vocab label"),
+        ({"uid": "a", "x": [0.0], "label_counter": {"E": 2.7}},
+         "record a: label_counter {'E': 2.7} is not a non-negative integer count of a vocab label"),
+        ({"uid": "a", "x": [0.0], "label_counter": ["E"]},
+         "record a: label_counter must be an object of label counts"),
     ])
     def test_record_errors_name_file_and_line(self, tmp_path, record, match):
         path = tmp_path / "bad.jsonl"
@@ -469,7 +503,8 @@ class TestCorpusIO:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(
-        ["non-finite x", "bad true_dist", "unknown label", "feature dimension", "missing uid"]))
+        ["non-finite x", "non-number x", "bad true_dist", "unknown label", "feature dimension",
+         "missing uid", "labels not a list", "bad counter value"]))
     def test_bad_line_is_named(self, data, kind):
         n = data.draw(st.integers(50, 300), label="rows")
         lineno = data.draw(st.integers(2 if kind == "feature dimension" else 1, n), label="line")
@@ -483,6 +518,10 @@ class TestCorpusIO:
             if kind == "non-finite x":
                 rec["x"][data.draw(st.integers(0, 3), label="entry")] = math.nan
                 message = f"line {lineno}: record {uid}: 'x' must be a 1-D vector of finite numbers"
+            elif kind == "non-number x":
+                rec["x"][data.draw(st.integers(0, 3), label="entry")] = data.draw(
+                    st.sampled_from(["abc", "0.5", [0.5], {"a": 1}, None, 10**400]), label="value")
+                message = f"line {lineno}: record {uid}: 'x' must be a 1-D vector of finite numbers"
             elif kind == "bad true_dist":
                 rec["true_dist"] = [0.5, 0.25, 0.125]
                 message = f"line {lineno}: record {uid}: true_dist: distribution sums to 0.875, expected 1"
@@ -492,6 +531,15 @@ class TestCorpusIO:
             elif kind == "feature dimension":
                 rec["x"].append(0.0)
                 message = f"line {lineno} has 5 features, the first record has 4"
+            elif kind == "labels not a list":
+                rec["labels"] = "".join(rec["labels"][:2])
+                message = f"line {lineno}: record {uid}: 'labels' must be a list of label names"
+            elif kind == "bad counter value":
+                name = data.draw(st.sampled_from(sorted(rec["label_counter"])), label="counter label")
+                value = data.draw(st.sampled_from(["abc", -3, 2.7, None, True, [1]]), label="count")
+                rec["label_counter"][name] = value
+                message = (f"line {lineno}: record {uid}: label_counter {{{name!r}: {value!r}}} "
+                           f"is not a non-negative integer count of a vocab label")
             else:
                 del rec["uid"]
                 message = f"line {lineno}: record is missing a string 'uid' field"
@@ -500,6 +548,39 @@ class TestCorpusIO:
             with pytest.raises(CorpusError) as info:
                 load_corpus(path, VOCAB)
             assert str(info.value) == f"{path}: {message}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["non-finite x", "bad true_dist"]))
+    def test_first_bad_line_wins_across_record_and_column_checks(self, data, kind):
+        # a number fault is found on whole columns after the read, which stops
+        # at a later malformed line: the earlier line is still the one named
+        n = data.draw(st.integers(3, 60), label="rows")
+        i = data.draw(st.integers(1, n - 1), label="number fault line")
+        j = data.draw(st.integers(i + 1, n), label="malformed line")
+        pool = generate_synthetic_pool(SyntheticConfig(n_examples=n, k_classes=3, d_feat=4, seed=n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pool.jsonl"
+            save_corpus(pool, path, VOCAB)
+            lines = path.read_text().splitlines(keepends=True)
+            rec = json.loads(lines[i - 1])
+            if kind == "non-finite x":
+                rec["x"][0] = math.inf
+                message = "'x' must be a 1-D vector of finite numbers"
+            else:
+                rec["true_dist"] = [0.5, 0.25, 0.125]
+                message = "true_dist: distribution sums to 0.875, expected 1"
+            lines[i - 1] = json.dumps(rec, sort_keys=True) + "\n"
+            lines[j - 1] = lines[j - 1][:-5] + "\n"
+            path.write_text("".join(lines))
+            with pytest.raises(CorpusError) as info:
+                load_corpus(path, VOCAB)
+            assert str(info.value) == f"{path}: line {i}: record {rec['uid']}: {message}"
+
+    def test_any_json_number_is_a_feature(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text("".join(json.dumps({"uid": u, "x": x}) + "\n" for u, x in
+                                [("a", [1, 2**70, 0.5]), ("b", [-2**63, True, 2**64])]))
+        assert load_corpus(path, VOCAB).X.tolist() == [[1.0, 2.0**70, 0.5], [-2.0**63, 1.0, 2.0**64]]
 
     def test_dense_counter_record(self, tmp_path):
         rec = {

@@ -123,6 +123,16 @@ class TestJSD:
         assert jsd(p, q) == jsd(q, p)
         assert 0.0 <= jsd(p, q) <= 1.0
 
+    @pytest.mark.parametrize("p, q", [
+        # half of the smallest subnormal rounds to 0; the mixture must not
+        ([0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0, 5e-324]),
+        # the two halves' rounding errors summed to -8.6e-18
+        ([0.0, 1.0], np.array([1e-10, 699051.0]) / (1e-10 + 699051.0)),
+    ])
+    def test_near_identical_rows_stay_in_bounds(self, p, q):
+        assert jsd(p, q) == jsd(q, p)
+        assert 0.0 <= jsd(p, q) <= 1e-15
+
     def test_matches_independent_recomputation(self):
         # scipy's jensenshannon returns the square root of the divergence
         rng = np.random.default_rng(2)

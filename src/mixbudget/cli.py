@@ -31,6 +31,7 @@ import numpy as np
 from .atomic import atomic_write
 
 if TYPE_CHECKING:  # for annotations; each command imports what it runs
+    from .calibrate import CalibrationConfig
     from .corpus import BudgetPlan, Corpus, CorpusSplit, LabelVocab
     from .metrics import EvalReport
     from .strategies import StrategySpec
@@ -152,6 +153,16 @@ def build_strategy(cfg: dict, seed: int) -> StrategySpec:
     if cfg["task"] == "typing":
         raw.setdefault("lr", 1e-3)
     return StrategySpec(mixup=mixup, head=head, seed=seed, **raw)
+
+
+def build_calibration(cfg: dict) -> CalibrationConfig:
+    from .calibrate import CalibrationConfig
+
+    if cfg["task"] != "distribution":
+        raise ConfigError("calibration supports the distribution task only")
+    if "calibration" not in cfg:
+        raise ConfigError("config has no calibration section")
+    return CalibrationConfig(**_known_keys(CalibrationConfig, cfg["calibration"], "calibration"))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +307,7 @@ def cmd_eval(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -
         report = _distribution_report(cfg, scores, examples, inputs.vocab)
         write_histogram_csv(report, out / "histogram.csv")
     else:
-        gold_sets = [set(row) for row in examples.annotation_lists()]
-        report = evaluate_typing(scores, gold_sets, examples.uid.tolist(),
-                                 threshold=float(cfg.get("threshold", 0.5)))
+        report = evaluate_typing(scores, examples, threshold=float(cfg.get("threshold", 0.5)))
     write_report(report, out / "report.jsonl")
     return report.summary()
 
@@ -309,12 +318,7 @@ def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=No
     from .metrics import entropy_rows, gold_rows, write_report
     from .model import forward_logits, forward_scores, softmax
 
-    if cfg["task"] != "distribution":
-        raise ConfigError("calibration supports the distribution task only")
-    if "calibration" not in cfg:
-        raise ConfigError("config has no calibration section")
-    calibration = cal.CalibrationConfig(
-        **_known_keys(cal.CalibrationConfig, cfg["calibration"], "calibration"))
+    calibration = build_calibration(cfg)
     method = calibration.method
     inputs = inputs or _Inputs(cfg)
     vocab, examples = inputs.vocab, inputs.eval_set
@@ -428,6 +432,9 @@ def cmd_sweep(cfg: dict) -> dict:
     seeds = cfg["seeds"]
     workers = cfg.get("workers")
     n_workers = len(seeds) if workers is None else int(workers)
+    build_strategy(cfg, seeds[0])  # check the whole config before the first seed runs
+    if "calibration" in cfg:
+        build_calibration(cfg)
     inputs = _Inputs(cfg)
     if n_workers > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -465,18 +472,19 @@ def main(argv=None) -> int:
         description="Budget-allocation experiments over uneven training data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("gen", "generate a synthetic pool and held-out eval corpus"),
-        ("split", "allocate the label budget into singles/multis/unlabeled"),
-        ("train", "train one strategy on the split"),
-        ("eval", "evaluate a checkpoint on the eval corpus"),
-        ("calibrate", "tune and apply a calibration method"),
-        ("sweep", "train+eval every seed, write a mean/stddev summary"),
-        ("report", "re-aggregate per-seed reports into a summary"),
+    for name, seeded, help_text in (
+        ("gen", False, "generate a synthetic pool and held-out eval corpus"),
+        ("split", False, "allocate the label budget into singles/multis/unlabeled"),
+        ("train", True, "train one strategy on the split"),
+        ("eval", True, "evaluate a checkpoint on the eval corpus"),
+        ("calibrate", True, "tune and apply a calibration method"),
+        ("sweep", False, "train+eval every seed, write a mean/stddev summary"),
+        ("report", False, "re-aggregate per-seed reports into a summary"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="seed (default: the config's first)")
         p.add_argument("--out", default=None, help="output directory override")
 
     args = parser.parse_args(argv)
@@ -484,9 +492,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg["outdir"] = args.out
-        seed = args.seed if args.seed is not None else cfg["seeds"][0]
-        command = globals()[f"cmd_{args.command}"]
-        result = command(cfg, seed) if args.command in ("train", "eval", "calibrate") else command(cfg)
+        seed = () if "seed" not in args else (cfg["seeds"][0] if args.seed is None else args.seed,)
+        result = globals()[f"cmd_{args.command}"](cfg, *seed)
     except Exception as e:  # one machine-readable line per failure
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 1

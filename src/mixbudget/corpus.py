@@ -406,9 +406,14 @@ def save_vocab(vocab: LabelVocab, path) -> None:
 
 
 def load_vocab(path) -> LabelVocab:
-    with open(path, encoding="utf-8") as f:
-        names = [line.rstrip("\n") for line in f if line.strip()]
-    return LabelVocab(tuple(names))
+    names = []
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                names.append(line.decode("utf-8").rstrip("\r\n"))
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{path}: line {lineno}: {e}") from None
+    return LabelVocab(tuple(name for name in names if name.strip()))
 
 
 def save_corpus(corpus: Corpus, path, vocab: LabelVocab) -> None:
@@ -449,17 +454,17 @@ def load_corpus(path, vocab: LabelVocab) -> Corpus:
     rows, labels, cells, counts = [], array("h"), [], []  # labels: LABEL_DTYPE
     absent = [np.nan] * k  # the true_dist of a row without one
     width, has_counter, fault = 0, False, None
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         try:
             for lineno, line in enumerate(f, start=1):
                 if line.isspace():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode("utf-8"))  # explicit: json.loads takes UTF-16/32 bytes too
                     if type(rec) is not dict:
                         raise ValueError("not an object")
-                except ValueError as e:
-                    raise CorpusError(f"malformed record on line {lineno}: {e}") from None
+                except ValueError as e:  # a UnicodeDecodeError too
+                    raise CorpusError(f"line {lineno}: malformed record: {e}") from None
                 u, x, names, p = rec.get("uid"), rec.get("x"), rec.get("labels", []), rec.get("true_dist")
                 if type(u) is not str or not u:
                     raise CorpusError(f"line {lineno}: record is missing a string 'uid' field")

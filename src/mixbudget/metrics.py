@@ -112,41 +112,23 @@ def accuracy_old_new(pred_dists, examples) -> tuple[float, float]:
     return float(np.mean(old_hits)), float(np.mean(new_hits))
 
 
-def macro_prf(pred_sets, gold_sets, uids=None) -> tuple[float, float, float]:
-    """Macro-averaged precision, recall and F1 over type sets."""
-    if len(pred_sets) != len(gold_sets):
-        raise MetricsError("prediction and gold set counts differ")
-    precisions, recalls = [], []
-    for i, (pred, gold) in enumerate(zip(pred_sets, gold_sets)):
-        uid = uids[i] if uids is not None else f"#{i}"
-        if not gold:
-            raise MetricsError(f"example {uid}: empty gold type set")
-        if not pred:
-            raise MetricsError(f"example {uid}: empty predicted type set")
-        hit = len(set(pred) & set(gold))
-        precisions.append(hit / len(pred))
-        recalls.append(hit / len(gold))
-    p, r = float(np.mean(precisions)), float(np.mean(recalls))
+def macro_prf(precision: np.ndarray, recall: np.ndarray) -> tuple[float, float, float]:
+    """Macro-averaged precision, recall and F1 from per-row values."""
+    p, r = float(np.mean(precision)), float(np.mean(recall))
     f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
     return p, r, f1
 
 
-def mrr(score_rows, gold_sets) -> float:
-    """Mean reciprocal rank over (example, gold type) pairs. Ranks follow
+def mrr(scores: np.ndarray, gold: np.ndarray) -> float:
+    """Mean reciprocal rank over the (row, gold type) pairs of the (n, k)
+    scores and boolean multi-hot ``gold``, in row-major order. Ranks follow
     descending score order with ties broken by type index."""
-    S = np.atleast_2d(np.asarray(score_rows, dtype=np.float64))
-    if len(S) != len(gold_sets):
-        raise MetricsError("score rows and gold set counts differ")
-    rr = []
-    for row, gold in zip(S, gold_sets):
-        order = np.argsort(-row, kind="stable")  # stable keeps index order on ties
-        rank_of = np.empty(len(row), dtype=int)
-        rank_of[order] = np.arange(1, len(row) + 1)
-        for t in gold:
-            rr.append(1.0 / rank_of[t])
-    if not rr:
+    if not gold.any():
         raise MetricsError("no gold types to rank")
-    return float(np.mean(rr))
+    ranks = np.empty(gold.shape, dtype=np.int64)
+    np.put_along_axis(ranks, np.argsort(-scores, axis=1, kind="stable"),  # stable: ties in index order
+                      np.arange(1, gold.shape[1] + 1)[None, :], axis=1)
+    return float(np.mean(1.0 / ranks[gold]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +216,33 @@ def evaluate_distribution(
         entropy_bin_edges=entropy_bin_edges(k_classes, n_bins).tolist(), per_example=per)
 
 
-def evaluate_typing(score_rows, gold_sets, uids, threshold: float = 0.5) -> EvalReport:
-    """Assemble the typing-task report from per-type scores and gold
-    positive-type sets."""
-    from .model import predict_types
+def _type_lists(M: np.ndarray) -> list[list[int]]:
+    """The ascending column indices of each row of a boolean matrix."""
+    cols, ends = np.nonzero(M)[1].tolist(), np.cumsum(M.sum(axis=1)).tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
 
-    S = np.atleast_2d(np.asarray(score_rows, dtype=np.float64))
-    pred_sets = [predict_types(row, threshold) for row in S]
-    p, r, f1 = macro_prf(pred_sets, gold_sets, uids)
-    score_mrr = mrr(S, gold_sets)
-    per = []
-    for uid, pred, gold in zip(uids, pred_sets, gold_sets):
-        hit = len(set(pred) & set(gold))
-        per.append({"uid": uid, "pred_types": sorted(int(t) for t in pred),
-                    "gold_types": sorted(int(t) for t in gold),
-                    "precision": hit / len(pred), "recall": hit / len(gold)})
-    return EvalReport(n_examples=len(gold_sets), macro_p=p, macro_r=r, macro_f1=f1,
-                      mrr=score_mrr, per_example=per)
+
+def evaluate_typing(scores: np.ndarray, examples, threshold: float = 0.5) -> EvalReport:
+    """Assemble the typing-task report for an evaluation ``Corpus`` from its
+    (n, k) array of per-type scores: a row's gold types are its annotations,
+    its predicted types those ``threshold_types`` picks."""
+    from .model import threshold_types
+
+    if len(scores) != len(examples):
+        raise MetricsError("predictions and examples differ in length")
+    gold = examples.counts(scores.shape[1]) > 0
+    empty = ~gold.any(axis=1)
+    if empty.any():
+        raise MetricsError(f"example {examples.uid[np.argmax(empty)]}: empty gold type set")
+    pred = threshold_types(scores, threshold) > 0
+    hits = (pred & gold).sum(axis=1)
+    precision, recall = hits / pred.sum(axis=1), hits / gold.sum(axis=1)
+    p, r, f1 = macro_prf(precision, recall)
+    per = [{"uid": uid, "pred_types": pt, "gold_types": gt, "precision": a, "recall": b}
+           for uid, pt, gt, a, b in zip(examples.uid.tolist(), _type_lists(pred), _type_lists(gold),
+                                        precision.tolist(), recall.tolist())]
+    return EvalReport(n_examples=len(examples), macro_p=p, macro_r=r, macro_f1=f1,
+                      mrr=mrr(scores, gold), per_example=per)
 
 
 # ---------------------------------------------------------------------------

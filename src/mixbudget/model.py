@@ -192,11 +192,6 @@ def threshold_types(S: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return Y
 
 
-def predict_types(scores, threshold: float = 0.5) -> set[int]:
-    """The type set ``threshold_types`` picks for one row of scores."""
-    return set(np.flatnonzero(threshold_types(np.atleast_2d(scores), threshold)[0]).tolist())
-
-
 @dataclass(frozen=True)
 class Head:
     """One output head. ``activate`` maps logits to scores; ``loss`` and

@@ -32,9 +32,9 @@ from mixbudget.metrics import (
     entropy_histogram,
     entropy_rows,
     evaluate_distribution,
+    evaluate_typing,
     jsd_rows,
     kl_rows,
-    macro_prf,
     mrr,
 )
 from mixbudget.model import (
@@ -54,6 +54,7 @@ from mixbudget.strategies import (
     run_strategy,
 )
 
+from test_metrics import multihot
 from test_model import finite_difference, max_rel_err
 
 VOCAB = LabelVocab(("E", "N", "C"))
@@ -314,10 +315,13 @@ def test_criterion_4_metric_axioms():
     checks.append(("JSD within [0, 1]", bound_ok))
     checks.append(("JSD matches independent recomputation", twopath_ok))
 
-    p, r, f1 = macro_prf([{0, 1}], [{1, 2}])
+    # predicted types {0, 1} (scores above 0.5) against gold types {1, 2}
+    typing = evaluate_typing(np.array([[0.9, 0.8, 0.1]]),
+                             Corpus.from_rows(["t0"], np.zeros((1, 1)), [[1, 2]]))
+    p, r, f1 = typing.macro_p, typing.macro_r, typing.macro_f1
     checks.append(("P/R/F1 fixture 0.5/0.5/0.5", (p, r, f1) == (0.5, 0.5, 0.5)))
-    checks.append(("MRR rank fixture", mrr([[0.9, 0.8, 0.1]], [{0, 1}]) == 0.75))
-    checks.append(("MRR single rank 4", mrr([[0.9, 0.8, 0.7, 0.6]], [{3}]) == 0.25))
+    checks.append(("MRR rank fixture", mrr(np.array([[0.9, 0.8, 0.1]]), multihot([{0, 1}], 3)) == 0.75))
+    checks.append(("MRR single rank 4", mrr(np.array([[0.9, 0.8, 0.7, 0.6]]), multihot([{3}], 4)) == 0.25))
     report_criterion(4, "metric axioms", checks)
 
 

@@ -485,6 +485,27 @@ class TestConfigValidation:
             {"error": "ConfigError: unknown calibration key 'scalr'"}]
         assert not (cli.run_dir(cfg, 0) / "report_calibrated.jsonl").exists()
 
+    def test_sweep_checks_calibration_before_the_first_seed(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, seeds=[0, 1],
+                          calibration={"method": "temp_scaling", "scalr": 3.0})
+        path = write_config(tmp_path, cfg)
+        for command in ("gen", "split"):
+            assert run_cli(command, "--config", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", str(path)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "ConfigError: unknown calibration key 'scalr'"}]
+        assert not any((cli.run_dir(cfg, seed) / "checkpoint.bin").exists() for seed in (0, 1))
+
+    @pytest.mark.parametrize("command", ["gen", "split", "sweep", "report"])
+    def test_seed_flag_only_where_a_command_reads_it(self, tmp_path, command, capsys):
+        path = write_config(tmp_path, base_config(tmp_path))
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, "--config", str(path), "--seed", "1")
+        assert info.value.code != 0
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_out_flag_overrides_outdir(self, tmp_path):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -602,6 +603,32 @@ class TestCorpusIO:
     def test_vocab_file_round_trip(self, tmp_path):
         path = tmp_path / "vocab.txt"
         save_vocab(VOCAB, path)
+        assert load_vocab(path) == VOCAB
+
+    def test_corpus_byte_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"uid": "u1", "x": [0.0], "labels": []}).encode()
+        path.write_bytes(good + b"\n" + good.replace(b"u1", b"u\xff2") + b"\n")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, VOCAB)
+        assert str(info.value).startswith(f"{path}: line 2: malformed record: 'utf-8' codec can't decode")
+
+    def test_corpus_in_utf16_is_not_read(self, tmp_path):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(json.dumps({"uid": "u1", "x": [0.0], "labels": []}).encode("utf-16"))
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 1: malformed record"):
+            load_corpus(path, VOCAB)
+
+    def test_vocab_byte_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"E\nN\xff\nC\n")
+        with pytest.raises(CorpusError) as info:
+            load_vocab(path)
+        assert str(info.value).startswith(f"{path}: line 2: 'utf-8' codec can't decode byte 0xff")
+
+    def test_vocab_with_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"E\r\nN\r\n\r\nC\r\n")
         assert load_vocab(path) == VOCAB
 
 

@@ -20,7 +20,6 @@ from mixbudget.metrics import (
     evaluate_typing,
     jsd_rows,
     kl_rows,
-    macro_prf,
     mrr,
     read_report_summary,
     write_histogram_csv,
@@ -65,6 +64,32 @@ def eval_corpus(examples, k=3):
                             true_dist=column([ex.true_dist for ex in examples], [np.nan] * k),
                             old_label=column([ex.old_label for ex in examples], -1),
                             counter=column(counters, [0] * k))
+
+
+def multihot(type_sets, k=3) -> np.ndarray:
+    """Boolean (n, k) rows holding the types of each set."""
+    M = np.zeros((len(type_sets), k), dtype=bool)
+    for row, types in zip(M, type_sets):
+        row[list(types)] = True
+    return M
+
+
+def typing_corpus(gold_sets, uids=None):
+    """A typing eval corpus whose row i is annotated with the types of ``gold_sets[i]``."""
+    uids = uids or [f"t{i}" for i in range(len(gold_sets))]
+    return Corpus.from_rows(uids, np.zeros((len(gold_sets), 1)), [sorted(g) for g in gold_sets])
+
+
+def prf(pred_sets, gold_sets, uids=None, k=3):
+    """Macro P/R/F1 of ``evaluate_typing`` on scores that predict exactly ``pred_sets``."""
+    scores = np.where(multihot(pred_sets, k), 0.9, 0.1)
+    report = evaluate_typing(scores, typing_corpus(gold_sets, uids))
+    return report.macro_p, report.macro_r, report.macro_f1
+
+
+def type_mrr(scores, gold_sets):
+    scores = np.asarray(scores, dtype=np.float64)
+    return mrr(scores, multihot(gold_sets, scores.shape[1]))
 
 
 class TestKLDivergence:
@@ -211,34 +236,34 @@ class TestAccuracyOldNew:
 class TestMacroPRF:
     def test_perfect_match(self):
         sets = [{0, 1}, {2}]
-        assert macro_prf(sets, sets) == (1.0, 1.0, 1.0)
+        assert prf(sets, sets) == (1.0, 1.0, 1.0)
 
     def test_half_overlap(self):
-        p, r, f1 = macro_prf([{0, 1}], [{1, 2}])
+        p, r, f1 = prf([{0, 1}], [{1, 2}])
         assert (p, r, f1) == (0.5, 0.5, 0.5)
 
     def test_disjoint(self):
-        assert macro_prf([{0}], [{1, 2}]) == (0.0, 0.0, 0.0)
+        assert prf([{0}], [{1, 2}]) == (0.0, 0.0, 0.0)
 
     def test_empty_gold_names_uid(self):
         with pytest.raises(MetricsError, match="ex42"):
-            macro_prf([{0}], [set()], uids=["ex42"])
+            prf([{0}], [set()], uids=["ex42"])
 
 
 class TestMRR:
     def test_all_gold_ranked_first(self):
         scores = [[0.9, 0.1, 0.2], [0.1, 0.8, 0.3]]
-        assert mrr(scores, [{0}, {1}]) == 1.0
+        assert type_mrr(scores, [{0}, {1}]) == 1.0
 
     def test_rank_four(self):
-        assert mrr([[0.9, 0.8, 0.7, 0.6]], [{3}]) == pytest.approx(0.25)
+        assert type_mrr([[0.9, 0.8, 0.7, 0.6]], [{3}]) == pytest.approx(0.25)
 
     def test_two_golds_at_top_ranks(self):
-        assert mrr([[0.9, 0.8, 0.1]], [{0, 1}]) == pytest.approx(0.75)
+        assert type_mrr([[0.9, 0.8, 0.1]], [{0, 1}]) == pytest.approx(0.75)
 
     def test_score_ties_break_by_type_index(self):
         # types 0 and 1 tie; type 0 takes rank 1, type 1 rank 2
-        assert mrr([[0.5, 0.5, 0.1]], [{1}]) == pytest.approx(0.5)
+        assert type_mrr([[0.5, 0.5, 0.1]], [{1}]) == pytest.approx(0.5)
 
 
 class TestEvalReport:
@@ -329,13 +354,54 @@ class TestEvalReport:
 
     def test_typing_report(self):
         scores = np.array([[0.9, 0.6, 0.1], [0.2, 0.3, 0.4]])
-        report = evaluate_typing(scores, [{0, 1}, {0}], ["t0", "t1"])
+        report = evaluate_typing(scores, typing_corpus([{0, 1}, {0}], ["t0", "t1"]))
         # t0: pred {0,1} vs gold {0,1}; t1: all below threshold -> argmax {2}
         assert report.macro_p == pytest.approx(0.5)
         assert report.macro_r == pytest.approx(0.5)
         assert report.macro_f1 == pytest.approx(0.5)
         # gold ranks: t0 type0 rank1, type1 rank2; t1 type0 rank3
         assert report.mrr == pytest.approx((1.0 + 0.5 + 1 / 3) / 3)
+
+
+def reference_typing(S, annotations, uids, threshold):
+    """The typing report as a loop over type sets: each row's predicted set is
+    its types scoring above ``threshold``, else its (first) argmax; gold types
+    are ranked in ascending type order."""
+    per, rr = [], []
+    for uid, row, labels in zip(uids, S.tolist(), annotations):
+        gold = set(labels)
+        pred = {t for t, s in enumerate(row) if s > threshold} or {row.index(max(row))}
+        hit = len(pred & gold)
+        per.append({"uid": uid, "pred_types": sorted(pred), "gold_types": sorted(gold),
+                    "precision": hit / len(pred), "recall": hit / len(gold)})
+        order = sorted(range(len(row)), key=lambda t: -row[t])  # stable: ties in type order
+        rr += [1.0 / (order.index(t) + 1) for t in sorted(gold)]
+    p = float(np.mean([rec["precision"] for rec in per]))
+    r = float(np.mean([rec["recall"] for rec in per]))
+    return per, (p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0), float(np.mean(rr))
+
+
+class TestTypingAgainstSetLoop:
+    GRID = [0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0]  # few values, so scores tie
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_report_equals_set_loop(self, data):
+        k = data.draw(st.integers(2, 29), label="types")
+        n = data.draw(st.integers(1, 12), label="rows")
+        S = np.array(data.draw(st.lists(st.lists(st.sampled_from(self.GRID), min_size=k, max_size=k),
+                                        min_size=n, max_size=n), label="scores"))
+        threshold = data.draw(st.sampled_from(self.GRID[1:-1]), label="threshold")
+        # 1-5 distinct gold types, listed in any order and possibly repeated
+        annotations = [data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=5),
+                                 label="annotations") for _ in range(n)]
+        uids = [f"r{i}" for i in range(n)]
+        report = evaluate_typing(S, Corpus.from_rows(uids, np.zeros((n, 1)), annotations), threshold)
+        per, (p, r, f1), expected_mrr = reference_typing(S, annotations, uids, threshold)
+        assert report.per_example == per
+        assert (report.macro_p, report.macro_r, report.macro_f1) == (p, r, f1)
+        assert report.mrr == expected_mrr
+        assert report.n_examples == n
 
 
 class TestTemperatureInvariance:

@@ -21,9 +21,9 @@ from mixbudget.model import (
     init_adam,
     init_params,
     load_checkpoint,
-    predict_types,
     save_checkpoint,
     sigmoid,
+    threshold_types,
 )
 
 
@@ -254,17 +254,17 @@ class TestMultilabelHead:
 
 class TestPredictTypes:
     def test_above_threshold(self):
-        assert predict_types([0.9, 0.6, 0.1], 0.5) == {0, 1}
+        assert threshold_types(np.array([[0.9, 0.6, 0.1]]), 0.5).tolist() == [[1.0, 1.0, 0.0]]
 
     def test_fallback_to_argmax_when_empty(self):
-        assert predict_types([0.2, 0.1, 0.4], 0.5) == {2}
+        assert threshold_types(np.array([[0.2, 0.1, 0.4]]), 0.5).tolist() == [[0.0, 0.0, 1.0]]
 
     def test_extreme_threshold_gives_singleton(self):
-        assert predict_types([0.3, 0.9, 0.8], 0.9999) == {1}
+        assert threshold_types(np.array([[0.3, 0.9, 0.8]]), 0.9999).tolist() == [[0.0, 1.0, 0.0]]
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            predict_types([0.5], 1.0)
+            threshold_types(np.array([[0.5]]), 1.0)
 
 
 class TestCheckpoint:

@@ -13,7 +13,6 @@ from mixbudget.model import (
     forward_scores,
     forward_softmax,
     init_params,
-    predict_types,
 )
 from mixbudget import strategies
 from mixbudget.strategies import (
@@ -187,12 +186,13 @@ class TestPseudoLabel:
         params.head = "sigmoid"
         y = pseudo_label(params, np.array([3.0, -3.0, 3.0]))
         assert np.array_equal(y, [1.0, 0.0, 1.0])
-        # a batch, with a row scoring no type above 0.5: the array rule
-        # must agree with predict_types row by row
+        # a batch, with a row scoring no type above 0.5: each row holds the
+        # types scoring above 0.5, or the argmax when none does
         X = np.array([[3.0, -3.0, 3.0], [-1.0, -0.2, -2.0], [0.1, 0.0, -0.1]])
         Y = pseudo_label(params, X)
-        for row, scores in zip(Y, forward_scores(params, X)):
-            assert set(np.flatnonzero(row).tolist()) == predict_types(scores)
+        for row, scores in zip(Y, forward_scores(params, X).tolist()):
+            types = {t for t, s in enumerate(scores) if s > 0.5} or {scores.index(max(scores))}
+            assert set(np.flatnonzero(row).tolist()) == types
         assert np.array_equal(Y[1], [0.0, 1.0, 0.0])
 
 

@@ -64,21 +64,7 @@ def pred_smooth(dist, alpha_s: float) -> np.ndarray:
     if not 0.0 <= alpha_s <= 1.0:
         raise CalibrationError("smoothing mass must lie in [0, 1]")
     d = np.asarray(dist, dtype=np.float64)
-    squeeze = d.ndim == 1
-    out = _smooth_rows(np.atleast_2d(d), alpha_s)
-    return out[0] if squeeze else out
-
-
-def train_smooth(target, alpha_s: float) -> np.ndarray:
-    """Same arithmetic as pred_smooth, applied to a training target whose
-    gold label is its (unique) argmax."""
-    t = np.asarray(target, dtype=np.float64)
-    rows = np.atleast_2d(t)
-    if rows.shape[-1] > 1:
-        top2 = np.sort(rows, axis=-1)[:, -2:]
-        if np.any(top2[:, 1] - top2[:, 0] < 1e-12):
-            raise CalibrationError("target has no unique gold label")
-    return pred_smooth(target, alpha_s)
+    return _smooth_rows(np.atleast_2d(d), alpha_s).reshape(d.shape)
 
 
 @dataclass
@@ -92,28 +78,16 @@ def mean_entropy(dists) -> float:
     return float(np.mean(entropy_rows(np.atleast_2d(np.asarray(dists, dtype=np.float64)))))
 
 
-def _assert_monotone_in_temperature(logits: np.ndarray) -> None:
-    # empirical guard before bisection: mean entropy must not decrease in T
-    values = [mean_entropy(temp_scale(logits, T)) for T in (1.0, 2.0, 5.0, 10.0, 100.0)]
-    if any(b < a - 1e-9 for a, b in zip(values, values[1:])):
-        raise CalibrationError("mean entropy is not monotone in temperature on this input")
-
-
-def tune_entropy_match(
-    method: str,
-    values,
-    target_entropy: float,
-    tol: float = TUNE_TOL,
-    max_iter: int = TUNE_MAX_ITER,
-) -> TuneResult:
+def tune_entropy_match(method: str, values, target_entropy: float) -> TuneResult:
     """Find the scalar whose calibrated mean entropy matches
-    ``target_entropy`` within ``tol`` nats.
+    ``target_entropy`` within ``TUNE_TOL`` nats.
 
     ``values`` are logits for temp_scaling, and distributions for the
     smoothing methods (predictions for pred_smoothing, training targets
     for train_smoothing). Mean entropy is monotone in the scalar over the
-    search interval, so bisection converges; if the target lies outside
-    the attainable range, the nearer boundary is returned with
+    search interval (for temperature T and beta = 1/T, d(entropy)/d(beta)
+    = -beta * Var_p(z) <= 0), so bisection converges; if the target lies
+    outside the attainable range, the nearer boundary is returned with
     ``warning`` set.
     """
     V = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -124,7 +98,6 @@ def tune_entropy_match(
         raise CalibrationError(f"target entropy must lie in [0, ln {k}]")
 
     if method == "temp_scaling":
-        _assert_monotone_in_temperature(V)
         lo, hi = TEMP_LO, TEMP_HI
         calibrated = lambda s: mean_entropy(temp_scale(V, s))
     elif method in ("pred_smoothing", "train_smoothing"):
@@ -136,13 +109,13 @@ def tune_entropy_match(
 
     e_lo, e_hi = calibrated(lo), calibrated(hi)
     if target_entropy <= e_lo:
-        return TuneResult(lo, e_lo, warning=e_lo - target_entropy > tol)
+        return TuneResult(lo, e_lo, warning=e_lo - target_entropy > TUNE_TOL)
     if target_entropy >= e_hi:
-        return TuneResult(hi, e_hi, warning=target_entropy - e_hi > tol)
+        return TuneResult(hi, e_hi, warning=target_entropy - e_hi > TUNE_TOL)
 
     # bisect the bracket to convergence rather than stopping at the first
     # scalar inside tol, so fixed points are recovered tightly
-    for _ in range(max_iter):
+    for _ in range(TUNE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if calibrated(mid) < target_entropy:
             lo = mid
@@ -152,4 +125,4 @@ def tune_entropy_match(
             break
     scalar = 0.5 * (lo + hi)
     achieved = calibrated(scalar)
-    return TuneResult(scalar, achieved, warning=abs(achieved - target_entropy) > tol)
+    return TuneResult(scalar, achieved, warning=abs(achieved - target_entropy) > TUNE_TOL)

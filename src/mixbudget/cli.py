@@ -50,8 +50,11 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def load_config(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            cfg = json.load(f)
+    except ValueError as e:  # a UnicodeDecodeError too
+        raise ConfigError(f"{path}: not a JSON config: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     if unknown := sorted(set(cfg) - set(CONFIG_KEYS)):
@@ -61,8 +64,11 @@ def load_config(path) -> dict:
             raise ConfigError(f"config is missing required key {key!r}")
     if cfg["task"] not in TASKS:
         raise ConfigError(f"unknown task {cfg['task']!r}")
-    if not cfg.get("seeds"):
-        cfg["seeds"] = [0]
+    if unknown := sorted(set(cfg["corpus"]) - {"synthetic", "n_eval", "pool", "eval"}):
+        raise ConfigError(f"unknown corpus key {unknown[0]!r}")
+    cfg["seeds"] = seeds = cfg.get("seeds") or [0]
+    if type(seeds) is not list or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be a list of distinct integers, got {seeds!r}")
     return cfg
 
 
@@ -145,8 +151,9 @@ def build_strategy(cfg: dict, seed: int) -> StrategySpec:
     if "strategy" not in cfg:
         raise ConfigError("config has no strategy")
     raw = _known_keys(StrategySpec, cfg["strategy"], "strategy")
+    if unread := sorted({"seed", "head"} & set(raw)):
+        raise ConfigError(f"strategy key {unread[0]!r} is not read: seeds/--seed set the seed, task the head")
     mixup = MixupConfig(**_known_keys(MixupConfig, raw.pop("mixup", {}), "strategy.mixup"))
-    raw.pop("seed", None)
     if "hidden_sizes" in raw:
         raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
     head = "sigmoid" if cfg["task"] == "typing" else "softmax"
@@ -187,7 +194,10 @@ def cmd_gen(cfg: dict) -> dict:
         raise ConfigError("gen supports the distribution task only")
     vocab = resolve_vocab(cfg)
     n_eval = int(corpus.get("n_eval", 0))
-    syn = SyntheticConfig(**{**corpus["synthetic"], "k_classes": vocab.size})
+    syn = _known_keys(SyntheticConfig, corpus["synthetic"], "corpus.synthetic")
+    if syn.setdefault("k_classes", vocab.size) != vocab.size:
+        raise ConfigError(f"corpus.synthetic k_classes {syn['k_classes']!r} != vocab size {vocab.size}")
+    syn = SyntheticConfig(**syn)
     pool = generate_synthetic_pool(replace(syn, n_examples=syn.n_examples + n_eval))
     out = data_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -367,22 +377,20 @@ def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=No
     return report.summary()
 
 
-def _run_seed(cfg: dict, seed: int, inputs: _Inputs) -> dict:
-    """Train, eval and (if configured) calibrate one seed, keeping its
-    params in memory; returns the eval summary."""
+def _run_seed(cfg: dict, seed: int, inputs: _Inputs) -> None:
+    """Train, eval and (if configured) calibrate one seed, keeping its params in memory."""
     params, _ = _train(cfg, seed, inputs)
-    summary = cmd_eval(cfg, seed, inputs, params)
+    cmd_eval(cfg, seed, inputs, params)
     if "calibration" in cfg:
         cmd_calibrate(cfg, seed, inputs, params)
-    return summary
 
 
 # a parallel sweep's inputs, read by the parent and inherited by its workers
 _sweep_inputs: _Inputs | None = None
 
 
-def _sweep_worker(cfg_json: str, seed: int) -> dict:
-    return _run_seed(json.loads(cfg_json), seed, _sweep_inputs)
+def _sweep_worker(cfg_json: str, seed: int) -> None:
+    _run_seed(json.loads(cfg_json), seed, _sweep_inputs)
 
 
 # names of the OpenBLAS thread-count setter across its builds
@@ -442,11 +450,11 @@ def cmd_sweep(cfg: dict) -> dict:
         inputs.split, inputs.eval_set  # read once, here; forked workers inherit them
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_sweep_worker,
                                  initargs=(inputs,)) as pool:
-            summaries = list(pool.map(_sweep_worker, [json.dumps(cfg)] * len(seeds), seeds))
+            list(pool.map(_sweep_worker, [json.dumps(cfg)] * len(seeds), seeds))  # raises a worker's error
     else:
-        summaries = [_run_seed(cfg, seed, inputs) for seed in seeds]
-    summary = summarize_seeds(summaries, seeds)
-    return _write_json(Path(cfg["outdir"]) / config_hash(cfg) / "summary.json", summary)
+        for seed in seeds:
+            _run_seed(cfg, seed, inputs)
+    return cmd_report(cfg)
 
 
 def cmd_report(cfg: dict) -> dict:
@@ -504,6 +512,3 @@ def main(argv=None) -> int:
 def entry() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    sys.exit(main())

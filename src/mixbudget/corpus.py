@@ -69,15 +69,15 @@ class LabelVocab:
             raise CorpusError(f"label {name!r} not in vocab") from None
 
 
-def validate_distribution(probs: np.ndarray, tol: float = DIST_TOL) -> np.ndarray:
-    """Check that ``probs`` is a probability vector; returns it as float64."""
+def validate_distribution(probs: np.ndarray) -> np.ndarray:
+    """Check that ``probs`` is a probability vector, to ``DIST_TOL``; returns it as float64."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
         raise CorpusError(f"distribution must be 1-D, got shape {p.shape}")
-    if not ((p >= -tol) & (p <= 1 + tol)).all():  # NaN fails too
+    if not ((p >= -DIST_TOL) & (p <= 1 + DIST_TOL)).all():  # NaN fails too
         raise CorpusError("distribution entries must lie in [0, 1]")
     total = float(p.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > DIST_TOL:
         raise CorpusError(f"distribution sums to {total!r}, expected 1")
     return p
 
@@ -94,8 +94,8 @@ class Corpus:
     count is its label cost). ``true_dist`` (n, k), ``old_label`` (n,) and
     the dense annotation ``counter`` (n, k) are optional side channels that
     training never reads; a row without one holds NaNs, -1 or zeros there.
-    ``len``, slicing (a slice or an array of row indices) and ``==`` act on
-    rows; iterating yields ``Example`` rows."""
+    ``len``, slicing (a run of rows, ``corpus[a:b]``, as views) and ``==``
+    act on rows; iterating yields ``Example`` rows."""
 
     uid: np.ndarray
     X: np.ndarray
@@ -131,15 +131,12 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.uid)
 
-    def __getitem__(self, rows) -> Corpus:
-        rows = np.arange(len(self))[rows]
-        starts, lengths = self.offsets[rows], self.lengths[rows]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        if len(rows) and (np.diff(rows) == 1).all():  # a run of rows: a view of its labels
-            return self.take(rows, self.labels[starts[0] : starts[0] + offsets[-1]], offsets)
-        gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-        return self.take(rows, self.labels[gather], offsets)
+    def __getitem__(self, rows: slice) -> Corpus:
+        if type(rows) is not slice or rows.step not in (None, 1):
+            raise CorpusError(f"a corpus takes a run of rows, corpus[a:b], not {rows!r}")
+        lo, hi, _ = rows.indices(len(self))
+        offsets = self.offsets[lo : max(lo, hi) + 1]
+        return self.take(rows, self.labels[offsets[0] : offsets[-1]], offsets - offsets[0])
 
     def take(self, rows, labels, offsets) -> Corpus:
         """Rows ``rows``, with ``labels`` at ``offsets`` as their annotations."""
@@ -480,6 +477,9 @@ def load_corpus(path, vocab: LabelVocab) -> Corpus:
                     if p is not None and (type(p) is not list or len(p) != k):
                         raise CorpusError(f"true_dist has {len(p)} entries, vocab has {k}" if type(p) is list
                                           else "true_dist must be a list of probabilities")
+                    if (b"true" in line or b"false" in line) and bool in map(type, x + (p or [])):
+                        raise CorpusError(f"{'x' if bool in map(type, x) else 'true_dist'!r} holds a JSON "
+                                          f"boolean, not a number")
                     if (o := rec.get("old_label")) is not None and (type(o) is not str or o not in positions):
                         raise CorpusError(f"old_label {o!r} not in vocab")
                     if (c := rec.get("label_counter")) is not None and type(c) is not dict:
@@ -528,9 +528,9 @@ def _float_rows(rows: tuple, width: int) -> np.ndarray:
     """``rows``, each ``width`` entries, as float64; a row not all numbers ("1.5" is not) reads as NaNs."""
     try:
         matrix = np.array(rows)  # numbers make a number array; an int past int64 an object one
-        if matrix.dtype.kind in "biuf" and (matrix.ndim == 2 or not rows):
+        if matrix.dtype.kind in "iuf" and (matrix.ndim == 2 or not rows):
             return matrix.astype(np.float64, copy=False).reshape(len(rows), width)
-        if len(rows) == 1 and all(type(v) in (int, float, bool) for v in rows[0]):
+        if len(rows) == 1 and all(type(v) in (int, float) for v in rows[0]):
             return np.array(rows, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -55,10 +55,10 @@ def entropy_rows(P) -> np.ndarray:
     return -_sum_plogq(P, 1.0)
 
 
-def kl_rows(P, Q, clamp: float = KL_CLAMP) -> np.ndarray:
-    """Row-wise KL(p || q) in nats; q is clamped below at ``clamp`` so the
-    value stays finite, and 0 * ln 0 terms vanish."""
-    return _sum_plogq(P, np.maximum(np.asarray(Q, dtype=np.float64), clamp))
+def kl_rows(P, Q) -> np.ndarray:
+    """Row-wise KL(p || q) in nats; q is clamped below at ``KL_CLAMP`` so
+    the value stays finite, and 0 * ln 0 terms vanish."""
+    return _sum_plogq(P, np.maximum(np.asarray(Q, dtype=np.float64), KL_CLAMP))
 
 
 def jsd_rows(P, Q) -> np.ndarray:
@@ -257,8 +257,14 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def read_report_summary(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.loads(f.readline())
+    with open(path, "rb") as f:
+        try:
+            summary = json.loads(f.readline().decode("utf-8"))
+        except ValueError:  # a UnicodeDecodeError too
+            summary = None
+    if type(summary) is not dict:
+        raise MetricsError(f"{path}: the first line is not a report summary object")
+    return summary
 
 
 def write_histogram_csv(report: EvalReport, path) -> None:

@@ -46,10 +46,6 @@ class ClassifierParams:
     def n_in(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def n_out(self) -> int:
-        return self.weights[-1].shape[1]
-
     def arrays(self) -> list[np.ndarray]:
         """Parameter arrays, interleaved [W0, b0, W1, b1, ...]."""
         out = []
@@ -65,9 +61,6 @@ class ClassifierParams:
             out.append(vec[start:start + a.size].reshape(a.shape))
             start += a.size
         return out
-
-    def copy(self) -> "ClassifierParams":
-        return ClassifierParams(self.weights, self.biases, self.head)
 
 
 def init_params(
@@ -323,15 +316,19 @@ def save_checkpoint(params: ClassifierParams, path, vocab_names, seed: int) -> N
 
 def load_checkpoint(path) -> tuple[ClassifierParams, dict]:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        if header.get("format") != "mixbudget-checkpoint-v1":
-            raise ValueError(f"{path}: not a recognized checkpoint file")
-        body = f.read()
-    shapes = header["shapes"]
-    n_bytes = 8 * sum(int(np.prod(shape)) for shape in shapes)
-    if len(body) != n_bytes:
-        raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, its shapes need {n_bytes}")
-    params = ClassifierParams(weights=[np.empty(s) for s in shapes[0::2]],
-                              biases=[np.empty(s) for s in shapes[1::2]], head=header["head"])
+        line, body = f.readline(), f.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+        if type(header) is not dict or header.get("format") != "mixbudget-checkpoint-v1":
+            raise ValueError("not a recognized checkpoint file")
+        shapes = header["shapes"]
+        n_bytes = 8 * sum(int(np.prod(shape)) for shape in shapes)
+        if len(body) != n_bytes:
+            raise ValueError(f"checkpoint body is {len(body)} bytes, its shapes need {n_bytes}")
+        params = ClassifierParams(weights=[np.empty(s) for s in shapes[0::2]],
+                                  biases=[np.empty(s) for s in shapes[1::2]], head=header["head"])
+    except (KeyError, TypeError, ValueError) as e:  # a UnicodeDecodeError too
+        detail = e if type(e) is ValueError else f"bad header ({type(e).__name__}: {e})"
+        raise ValueError(f"{path}: {detail}") from None
     params.flat[:] = np.frombuffer(body, dtype="<f8")
     return params, header

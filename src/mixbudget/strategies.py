@@ -111,6 +111,8 @@ class StrategySpec:
             raise StrategyError("input_dropout must lie in [0, 1)")
         if not 0.0 <= self.train_smooth_mass <= 1.0:
             raise StrategyError("train_smooth_mass must lie in [0, 1]")
+        if self.head == "sigmoid" and (self.target_mode == "prediction" or self.train_smooth_mass > 0):
+            raise StrategyError("the sigmoid head takes no target_mode 'prediction' or train_smooth_mass")
 
 
 @dataclass
@@ -157,11 +159,11 @@ def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> d
         return part.X, Y
 
     out = {"s": pack(split.singles), "m": pack(split.multis)}
-    if out["s"] is not None and spec.train_smooth_mass > 0 and spec.head == "softmax":
-        from .calibrate import train_smooth
+    if out["s"] is not None and spec.train_smooth_mass > 0:
+        from .calibrate import pred_smooth
 
         Xs, Ys = out["s"]
-        out["s"] = (Xs, train_smooth(Ys, spec.train_smooth_mass))
+        out["s"] = (Xs, pred_smooth(Ys, spec.train_smooth_mass))
     out["u"] = split.unlabeled.X if len(split.unlabeled) else None
     return out
 

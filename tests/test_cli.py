@@ -514,3 +514,143 @@ class TestConfigValidation:
         moved = dict(cfg)
         moved["outdir"] = str(alt)
         assert (cli.data_dir(moved) / "pool.jsonl").exists()
+
+
+def error_lines(capsys) -> list:
+    """Standard error as parsed JSON lines; standard output must be empty."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    return [json.loads(line) for line in err.strip().splitlines()]
+
+
+class TestErrorPaths:
+    """Every failure prints one {"error": ...} line and exits 1."""
+
+    # (command, config overrides, keys removed, commands run first, expected error)
+    CASES = {
+        "pool not found": ("split", {}, (), (), "ConfigError: pool corpus not found at {pool} (run gen first?)"),
+        "split not found": ("train", {}, (), ("gen",),
+                            "ConfigError: split not found under {split} (run split first?)"),
+        "eval corpus not found": ("eval", {"eval_path": "{tmp}/missing.jsonl"}, (), (),
+                                  "ConfigError: eval corpus not found at {tmp}/missing.jsonl"),
+        "eval corpus empty": ("eval", {"eval_path": "{tmp}/empty.jsonl"}, (), (),
+                              "ConfigError: eval corpus at {tmp}/empty.jsonl is empty"),
+        "report not found": ("report", {}, (), (),
+                             "ConfigError: report not found at {run}/report.jsonl (run eval or sweep first?)"),
+        "calibration on typing": ("calibrate", {"task": "typing", "calibration": {"method": "temp_scaling"}}, (),
+                                  (), "ConfigError: calibration supports the distribution task only"),
+        "bad vocab spec": ("gen", {"vocab": "ENC"}, (), (),
+                           "ConfigError: vocab must be a list of names or {{'path': ...}}"),
+        "gen without synthetic": ("gen", {"corpus": {"pool": "pool.jsonl"}}, (), (),
+                                  "ConfigError: gen needs a synthetic corpus section"),
+        "no plan": ("split", {}, ("plan",), ("gen",), "ConfigError: config has no budget plan"),
+        "no strategy": ("sweep", {}, ("strategy",), (), "ConfigError: config has no strategy"),
+        "no calibration": ("calibrate", {}, (), (), "ConfigError: config has no calibration section"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_path(self, tmp_path, capsys, case):
+        command, overrides, removed, before, expected = self.CASES[case]
+        (tmp_path / "empty.jsonl").write_text("")
+        cfg = base_config(tmp_path, **json.loads(json.dumps(overrides).replace("{tmp}", str(tmp_path))))
+        for key in removed:
+            del cfg[key]
+        path = write_config(tmp_path, cfg)
+        for step in before:
+            assert run_cli(step, "--config", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(path)) == 1
+        places = {"tmp": tmp_path, "pool": cli.pool_path(cfg), "run": cli.run_dir(cfg, 0)}
+        if "plan" in cfg:
+            places["split"] = cli.split_dir(cfg)
+        assert error_lines(capsys) == [{"error": expected.format(**places)}]
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert run_cli("gen", "--config", str(path)) == 1
+        assert error_lines(capsys) == [{"error": "ConfigError: config must be a JSON object"}]
+
+
+class TestCorruptArtifacts:
+    """A corrupt artifact fails with one {"error": ...} line that names its file."""
+
+    @pytest.mark.parametrize("header", [b"\xff\xfe{}", b"[1, 2]",
+                                        b'{"format": "mixbudget-checkpoint-v1", "head": "softmax"}'],
+                             ids=["not utf-8", "not an object", "no shapes"])
+    def test_checkpoint_header(self, tmp_path, capsys, header):
+        cfg = base_config(tmp_path)
+        path = write_config(tmp_path, cfg)
+        assert run_cli("gen", "--config", str(path)) == 0
+        checkpoint = cli.run_dir(cfg, 0) / "checkpoint.bin"
+        checkpoint.parent.mkdir(parents=True)
+        checkpoint.write_bytes(header + b"\n" + bytes(16))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(path)) == 1
+        (line,) = error_lines(capsys)
+        assert line["error"].startswith(f"ValueError: {checkpoint}: ")
+
+    def test_empty_report(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        path = write_config(tmp_path, cfg)
+        report = cli.run_dir(cfg, 0) / "report.jsonl"
+        report.parent.mkdir(parents=True)
+        report.write_text("")
+        assert run_cli("report", "--config", str(path)) == 1
+        assert error_lines(capsys) == [
+            {"error": f"MetricsError: {report}: the first line is not a report summary object"}]
+
+    def test_config_not_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"task": "distribution",')
+        assert run_cli("gen", "--config", str(path)) == 1
+        (line,) = error_lines(capsys)
+        assert line["error"].startswith(f"ConfigError: {path}: not a JSON config: ")
+
+
+class TestUnreadConfigKeys:
+    """A config key that no command reads fails, naming the key."""
+
+    def run_bad(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(path)) == 1
+        (line,) = error_lines(capsys)
+        return line["error"]
+
+    @pytest.mark.parametrize("key, value", [("seed", 3), ("head", "sigmoid")])
+    def test_strategy_seed_and_head(self, tmp_path, capsys, key, value):
+        cfg = base_config(tmp_path)
+        cfg["strategy"][key] = value
+        assert self.run_bad(tmp_path, capsys, "sweep", cfg) == (
+            f"ConfigError: strategy key {key!r} is not read: seeds/--seed set the seed, task the head")
+
+    def test_unknown_corpus_key(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["corpus"]["n_evals"] = cfg["corpus"].pop("n_eval")
+        assert self.run_bad(tmp_path, capsys, "gen", cfg) == "ConfigError: unknown corpus key 'n_evals'"
+
+    def test_k_classes_other_than_vocab_size(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["corpus"]["synthetic"]["k_classes"] = 5
+        cfg["corpus"]["synthetic"]["d_feat"] = 6
+        assert self.run_bad(tmp_path, capsys, "gen", cfg) == (
+            "ConfigError: corpus.synthetic k_classes 5 != vocab size 3")
+
+    def test_unknown_synthetic_key(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["corpus"]["synthetic"]["n_example"] = cfg["corpus"]["synthetic"].pop("n_examples")
+        assert self.run_bad(tmp_path, capsys, "gen", cfg) == (
+            "ConfigError: unknown corpus.synthetic key 'n_example'")
+
+    @pytest.mark.parametrize("seeds", [[0, 0], [1, 2, 1], [0, 1.5], [True], "01"])
+    def test_seeds_must_be_distinct_integers(self, tmp_path, capsys, seeds):
+        cfg = base_config(tmp_path, seeds=seeds)
+        assert self.run_bad(tmp_path, capsys, "sweep", cfg) == (
+            f"ConfigError: seeds must be a list of distinct integers, got {seeds!r}")
+
+    def test_k_classes_may_be_left_out(self, tmp_path):
+        cfg = base_config(tmp_path)
+        del cfg["corpus"]["synthetic"]["k_classes"]
+        assert run_cli("gen", "--config", str(write_config(tmp_path, cfg))) == 0
+        assert load_corpus(cli.data_dir(cfg) / "pool.jsonl", VOCAB).counter.shape == (120, 3)

@@ -417,6 +417,32 @@ class TestGenerateSyntheticPool:
         assert np.abs(freq - mean_true).max() < 0.01
 
 
+class TestCorpusSlicing:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_run_of_rows_equals_from_rows(self, data, n):
+        bound = st.none() | st.integers(-n - 3, n + 3)
+        a, b = data.draw(bound, label="start"), data.draw(bound, label="stop")
+        step = data.draw(st.sampled_from([None, 1]), label="step")
+        sizes = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="sizes")
+        pool = make_pool(n, sizes, d=2)
+        full = Corpus(pool.uid, pool.X, pool.labels, pool.offsets,
+                      true_dist=np.full((n, 3), 1 / 3), old_label=np.arange(n) % 3,
+                      counter=pool.counts(3))
+        part = full[a:b:step]
+        rows = slice(a, b)
+        assert part == Corpus.from_rows(full.uid[rows], full.X[rows], full.annotation_lists()[rows],
+                                        full.true_dist[rows], full.old_label[rows], full.counter[rows])
+        if len(part.labels):
+            assert np.shares_memory(part.labels, full.labels)  # a view, no copy
+
+    @pytest.mark.parametrize("rows", [slice(None, None, 2), slice(None, None, -1), [0, 1],
+                                      np.arange(2), 0, np.array([True, False, True])])
+    def test_anything_but_a_run_of_rows_is_rejected(self, rows):
+        with pytest.raises(CorpusError, match="a corpus takes a run of rows"):
+            make_pool(3, 2)[rows]
+
+
 class TestCorpusIO:
     def test_round_trip_identity(self, tmp_path):
         pool = generate_synthetic_pool(SyntheticConfig(n_examples=20, k_classes=3, d_feat=4, seed=2))
@@ -580,8 +606,39 @@ class TestCorpusIO:
     def test_any_json_number_is_a_feature(self, tmp_path):
         path = tmp_path / "ints.jsonl"
         path.write_text("".join(json.dumps({"uid": u, "x": x}) + "\n" for u, x in
-                                [("a", [1, 2**70, 0.5]), ("b", [-2**63, True, 2**64])]))
+                                [("a", [1, 2**70, 0.5]), ("b", [-2**63, 1, 2**64])]))
         assert load_corpus(path, VOCAB).X.tolist() == [[1.0, 2.0**70, 0.5], [-2.0**63, 1.0, 2.0**64]]
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"x": [True, 0.0]}, "x"),
+        ({"x": [0.0, False]}, "x"),
+        ({"x": [0.0, 1.0], "true_dist": [True, False, False]}, "true_dist"),
+        ({"x": [0.0, 1.0], "true_dist": [1, 0, False]}, "true_dist"),
+    ])
+    def test_json_boolean_is_not_a_number(self, tmp_path, fields, field):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"uid": "true-false", "x": [0.0, 1.0], "labels": ["E"]})
+        path.write_text(good + "\n" + json.dumps({"uid": "b", "labels": [], **fields}) + "\n")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, VOCAB)
+        assert str(info.value) == f"{path}: line 2: record b: {field!r} holds a JSON boolean, not a number"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        recs = [json.dumps({"uid": u, "x": [0.5], "labels": ["E"]}) for u in ("a", "b")]
+        path.write_text("\n" + recs[0] + "\n  \n\n" + recs[1] + "\n\n")
+        assert load_corpus(path, VOCAB).uid.tolist() == ["a", "b"]
+        path.write_text(path.read_text() + '{"uid": "c"}\n')  # line numbers count the blank lines
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 7: record c: missing 'x' field$"):
+            load_corpus(path, VOCAB)
+
+    @pytest.mark.parametrize("line", ['[{"uid": "a", "x": [0.0]}]', '"a"', "3", "null"])
+    def test_line_not_an_object_is_named(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"uid": "u1", "x": [0.0], "labels": []}) + "\n" + line + "\n")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, VOCAB)
+        assert str(info.value) == f"{path}: line 2: malformed record: not an object"
 
     def test_dense_counter_record(self, tmp_path):
         rec = {

@@ -107,6 +107,20 @@ class TestMakeTargets:
         assert np.array_equal(data["s"][1][0], [0.0, 0.0, 1.0])
         assert np.array_equal(data["m"][1][0], [1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("setting", [{"target_mode": "prediction"}, {"train_smooth_mass": 0.1}])
+    def test_sigmoid_head_rejects_softmax_target_settings(self, setting):
+        # multi-hot targets have no majority label and no mass to smooth
+        with pytest.raises(StrategyError, match="the sigmoid head takes no target_mode 'prediction' or "
+                                                "train_smooth_mass"):
+            spec_for("ce_combined", head="sigmoid", **setting)
+
+    def test_smoothed_single_targets(self):
+        split = CorpusSplit(singles=rows(("s0", np.zeros(2), [C]), ("s1", np.zeros(2), [E])),
+                            multis=rows(("m", np.zeros(2), [E, N])), unlabeled=rows())
+        data = make_targets(split, VOCAB, spec_for("ce_combined", train_smooth_mass=0.3))
+        assert np.allclose(data["s"][1], [[0.1, 0.1, 0.8], [0.8, 0.1, 0.1]], rtol=0, atol=1e-12)
+        assert np.array_equal(data["m"][1], [[0.5, 0.5, 0.0]])
+
 
 class TestMixPair:
     def test_endpoints_exact(self):

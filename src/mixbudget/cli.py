@@ -21,10 +21,11 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from types import NoneType, UnionType
+from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,13 +33,8 @@ from .atomic import atomic_write
 
 if TYPE_CHECKING:  # for annotations; each command imports what it runs
     from .calibrate import CalibrationConfig
-    from .corpus import BudgetPlan, Corpus, CorpusSplit, LabelVocab
-    from .metrics import EvalReport
+    from .corpus import Corpus, CorpusSplit
     from .strategies import StrategySpec
-
-TASKS = ("distribution", "typing")
-CONFIG_KEYS = ("task", "vocab", "corpus", "outdir", "seeds", "workers", "plan", "split_seed", "strategy",
-               "calibration", "eval_path", "histogram_bins", "gold_source", "kl_direction", "threshold")
 
 
 class ConfigError(ValueError):
@@ -49,27 +45,114 @@ class ConfigError(ValueError):
 # config handling
 # ---------------------------------------------------------------------------
 
-def load_config(path) -> dict:
+# marks the Config fields that config_hash leaves out: they don't change what a run computes, or act
+# at evaluation time only, so that another evaluation reuses the checkpoint of the same config
+UNHASHED = {"hashed": False}
+
+
+@dataclass(frozen=True)
+class VocabFile:
+    path: str
+
+
+@dataclass(frozen=True)
+class CorpusSource:
+    """The pool and eval corpus: ``synthetic`` settings for ``gen``, or ``pool``/``eval`` files."""
+
+    synthetic: dict | None = None
+    n_eval: int = 0
+    pool: str | None = None
+    eval: str | None = None
+
+
+@dataclass(frozen=True)
+class Config:
+    """One experiment. The command that builds ``plan``, ``strategy``, ``calibration`` or ``corpus.synthetic``
+    types it, so each command imports only what it runs. ``raw``, the hashed JSON, is not a key."""
+
+    task: Literal["distribution", "typing"]
+    vocab: tuple[str, ...] | VocabFile
+    corpus: CorpusSource
+    outdir: str = field(metadata=UNHASHED)
+    raw: dict = field(repr=False)
+    plan: dict | None = None
+    split_seed: int = 0
+    strategy: dict | None = None
+    calibration: dict | None = None
+    seeds: list[int] = field(default_factory=lambda: [0], metadata=UNHASHED)
+    workers: int | None = field(default=None, metadata=UNHASHED)  # None: one per seed
+    eval_path: str | None = field(default=None, metadata=UNHASHED)  # an out-of-domain eval corpus
+    histogram_bins: int = field(default=20, metadata=UNHASHED)
+    gold_source: Literal["counter", "true_dist"] = field(default="counter", metadata=UNHASHED)
+    kl_direction: Literal["human_model", "model_human"] = field(default="human_model", metadata=UNHASHED)
+    threshold: float = field(default=0.5, metadata=UNHASHED)
+
+    def __post_init__(self):
+        for key, ok, rule in (("seeds", len({*self.seeds}) == len(self.seeds), "a list of distinct integers"),
+                              ("seeds", self.seeds, "non-empty"),
+                              ("workers", self.workers is None or self.workers >= 1, ">= 1"),
+                              ("split_seed", self.split_seed >= 0, ">= 0"),
+                              ("histogram_bins", self.histogram_bins >= 1, ">= 1"),
+                              ("threshold", 0 < self.threshold < 1, "in (0, 1)")):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+
+
+# the JSON types a field type or its origin takes, and their name: an int passes for a float, a bool for none
+JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+              dict: ((dict,), "a JSON object"), list: ((list,), "a list"), tuple: ((list,), "a list"),
+              NoneType: ((NoneType,), "null")}
+
+
+def _json_types(tp) -> tuple[tuple, str]:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        return (str,), "one of " + ", ".join(map(repr, args))
+    if origin is UnionType:
+        types, names = zip(*map(_json_types, args))
+        return sum(types, ()), " or ".join(names)
+    return JSON_TYPES[dict if is_dataclass(tp) else origin or tp]
+
+
+def _typed_value(tp, value, key: str):
+    """The JSON ``value`` of dotted key ``key`` as a value of type ``tp``."""
+    (types, name), origin = _json_types(tp), get_origin(tp)
+    if type(value) not in types or origin is Literal and value not in get_args(tp):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    if origin is UnionType:  # the one arm that takes the value's JSON type
+        return _typed_value(next(a for a in get_args(tp) if type(value) in _json_types(a)[0]), value, key)
+    if is_dataclass(tp):
+        return typed(tp, value, key)
+    if origin in (list, tuple):
+        return origin(_typed_value(get_args(tp)[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    return float(value) if tp is float else value
+
+
+def typed(cls, section, name: str, **given):
+    """The dataclass ``cls`` from the JSON object ``section`` at dotted key ``name`` and the fields ``given``,
+    which are not keys. An unknown or missing key, or a value of the wrong JSON type, names its dotted key."""
+    if section is None:
+        raise ConfigError(f"config has no {name} section")
+    if type(section) is not dict:
+        raise ConfigError(f"{name} must be a JSON object")
+    keys = [f for f in fields(cls) if f.name not in given]
+    if unknown := sorted(set(section) - {f.name for f in keys}):
+        raise ConfigError(f"unknown {name} key {unknown[0]!r}")
+    dotted = {f.name: f"{name}.{f.name}".removeprefix("config.") for f in keys}
+    for f in keys:
+        if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config is missing required key {dotted[f.name]!r}")
+    hints = get_type_hints(cls)
+    return cls(**given, **{k: _typed_value(hints[k], v, dotted[k]) for k, v in section.items()})
+
+
+def load_config(path) -> Config:
     try:
         with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
+            raw = json.load(f)
     except ValueError as e:  # a UnicodeDecodeError too
         raise ConfigError(f"{path}: not a JSON config: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if unknown := sorted(set(cfg) - set(CONFIG_KEYS)):
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    for key in ("task", "vocab", "corpus", "outdir"):
-        if key not in cfg:
-            raise ConfigError(f"config is missing required key {key!r}")
-    if cfg["task"] not in TASKS:
-        raise ConfigError(f"unknown task {cfg['task']!r}")
-    if unknown := sorted(set(cfg["corpus"]) - {"synthetic", "n_eval", "pool", "eval"}):
-        raise ConfigError(f"unknown corpus key {unknown[0]!r}")
-    cfg["seeds"] = seeds = cfg.get("seeds") or [0]
-    if type(seeds) is not list or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"seeds must be a list of distinct integers, got {seeds!r}")
-    return cfg
+    return typed(Config, raw, "config", raw=raw)
 
 
 def canonical_hash(obj) -> str:
@@ -77,99 +160,46 @@ def canonical_hash(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def config_hash(cfg: dict) -> str:
-    # outdir/seeds/workers don't change what a run computes, and eval_path
-    # and the metric settings act at evaluation time only (out-of-domain or
-    # differently scored evaluation reuses the checkpoint trained under the
-    # same config)
-    core = {k: v for k, v in cfg.items()
-            if k not in ("outdir", "seeds", "workers", "eval_path",
-                         "histogram_bins", "gold_source", "kl_direction", "threshold")}
-    return canonical_hash(core)
+def config_hash(cfg: Config) -> str:
+    unhashed = {f.name for f in fields(Config) if f.metadata == UNHASHED}
+    return canonical_hash({k: v for k, v in cfg.raw.items() if k not in unhashed})
 
 
-def resolve_vocab(cfg: dict) -> LabelVocab:
-    from .corpus import LabelVocab, load_vocab
-
-    spec = cfg["vocab"]
-    if isinstance(spec, list):
-        return LabelVocab(tuple(spec))
-    if isinstance(spec, dict) and "path" in spec:
-        return load_vocab(spec["path"])
-    raise ConfigError("vocab must be a list of names or {'path': ...}")
+def data_dir(cfg: Config) -> Path:
+    return Path(cfg.outdir) / "data" / canonical_hash({k: cfg.raw[k] for k in ("corpus", "vocab")})
 
 
-def data_dir(cfg: dict) -> Path:
-    key = canonical_hash({"corpus": cfg["corpus"], "vocab": cfg["vocab"]})
-    return Path(cfg["outdir"]) / "data" / key
-
-
-def split_dir(cfg: dict) -> Path:
-    key = canonical_hash({"plan": cfg["plan"], "split_seed": cfg.get("split_seed", 0)})
+def split_dir(cfg: Config) -> Path:
+    key = canonical_hash({"plan": cfg.plan, "split_seed": cfg.split_seed})
     return data_dir(cfg) / f"split-{key}"
 
 
-def run_dir(cfg: dict, seed: int) -> Path:
-    return Path(cfg["outdir"]) / config_hash(cfg) / str(seed)
+def run_dir(cfg: Config, seed: int) -> Path:
+    return Path(cfg.outdir) / config_hash(cfg) / str(seed)
 
 
-def pool_path(cfg: dict) -> Path:
-    corpus = cfg["corpus"]
-    if "pool" in corpus:
-        return Path(corpus["pool"])
-    return data_dir(cfg) / "pool.jsonl"
+def build_strategy(cfg: Config, seed: int) -> StrategySpec:
+    from .strategies import StrategySpec
 
-
-def eval_path(cfg: dict) -> Path:
-    if cfg.get("eval_path"):  # out-of-domain override
-        return Path(cfg["eval_path"])
-    corpus = cfg["corpus"]
-    if "eval" in corpus:
-        return Path(corpus["eval"])
-    return data_dir(cfg) / "eval.jsonl"
-
-
-def _known_keys(cls, section: dict, name: str) -> dict:
-    """A copy of config ``section``, which may set only fields of ``cls``."""
-    unknown = sorted(set(section) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {name} key {unknown[0]!r}")
-    return dict(section)
-
-
-def build_plan(cfg: dict) -> BudgetPlan:
-    from .corpus import BudgetPlan
-
-    if "plan" not in cfg:
-        raise ConfigError("config has no budget plan")
-    return BudgetPlan(**_known_keys(BudgetPlan, cfg["plan"], "plan"))
-
-
-def build_strategy(cfg: dict, seed: int) -> StrategySpec:
-    from .strategies import MixupConfig, StrategySpec
-
-    if "strategy" not in cfg:
-        raise ConfigError("config has no strategy")
-    raw = _known_keys(StrategySpec, cfg["strategy"], "strategy")
-    if unread := sorted({"seed", "head"} & set(raw)):
+    if unread := sorted({"seed", "head"} & set(cfg.strategy or ())):
         raise ConfigError(f"strategy key {unread[0]!r} is not read: seeds/--seed set the seed, task the head")
-    mixup = MixupConfig(**_known_keys(MixupConfig, raw.pop("mixup", {}), "strategy.mixup"))
-    if "hidden_sizes" in raw:
-        raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
-    head = "sigmoid" if cfg["task"] == "typing" else "softmax"
-    if cfg["task"] == "typing":
-        raw.setdefault("lr", 1e-3)
-    return StrategySpec(mixup=mixup, head=head, seed=seed, **raw)
+    spec = typed(StrategySpec, cfg.strategy, "strategy", seed=seed,
+                 head="sigmoid" if cfg.task == "typing" else "softmax")
+    return replace(spec, lr=1e-3) if cfg.task == "typing" and "lr" not in cfg.strategy else spec
 
 
-def build_calibration(cfg: dict) -> CalibrationConfig:
+def build_calibration(cfg: Config, k: int) -> CalibrationConfig:
     from .calibrate import CalibrationConfig
 
-    if cfg["task"] != "distribution":
+    if cfg.task != "distribution":
         raise ConfigError("calibration supports the distribution task only")
-    if "calibration" not in cfg:
-        raise ConfigError("config has no calibration section")
-    return CalibrationConfig(**_known_keys(CalibrationConfig, cfg["calibration"], "calibration"))
+    calibration = typed(CalibrationConfig, cfg.calibration, "calibration")
+    scalar, entropy = calibration.scalar, calibration.target_entropy
+    if scalar is not None and not (0 < scalar if calibration.method == "temp_scaling" else 0 <= scalar <= 1):
+        raise ConfigError(f"calibration.scalar must be > 0 for temp_scaling, else in [0, 1]; got {scalar}")
+    if entropy is not None and not 0 <= entropy <= np.log(k):
+        raise ConfigError(f"calibration.target_entropy must lie in [0, ln {k}], got {entropy}")
+    return calibration
 
 
 # ---------------------------------------------------------------------------
@@ -177,47 +207,42 @@ def build_calibration(cfg: dict) -> CalibrationConfig:
 # ---------------------------------------------------------------------------
 
 def _write_json(path: Path, obj: dict) -> dict:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
     return obj
 
 
-def cmd_gen(cfg: dict) -> dict:
+def cmd_gen(cfg: Config) -> dict:
     from .corpus import SyntheticConfig, generate_synthetic_pool, save_corpus, save_vocab
 
-    corpus = cfg["corpus"]
-    if "synthetic" not in corpus:
+    if cfg.corpus.synthetic is None:
         raise ConfigError("gen needs a synthetic corpus section")
-    if cfg["task"] != "distribution":
+    if cfg.task != "distribution":
         raise ConfigError("gen supports the distribution task only")
-    vocab = resolve_vocab(cfg)
-    n_eval = int(corpus.get("n_eval", 0))
-    syn = _known_keys(SyntheticConfig, corpus["synthetic"], "corpus.synthetic")
-    if syn.setdefault("k_classes", vocab.size) != vocab.size:
-        raise ConfigError(f"corpus.synthetic k_classes {syn['k_classes']!r} != vocab size {vocab.size}")
-    syn = SyntheticConfig(**syn)
-    pool = generate_synthetic_pool(replace(syn, n_examples=syn.n_examples + n_eval))
+    vocab = _Inputs(cfg).vocab
+    syn = typed(SyntheticConfig, {"k_classes": vocab.size, **cfg.corpus.synthetic}, "corpus.synthetic")
+    if syn.k_classes != vocab.size:
+        raise ConfigError(f"corpus.synthetic k_classes {syn.k_classes!r} != vocab size {vocab.size}")
+    pool = generate_synthetic_pool(replace(syn, n_examples=syn.n_examples + cfg.corpus.n_eval))
     out = data_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(pool[: syn.n_examples], out / "pool.jsonl", vocab)
     save_corpus(pool[syn.n_examples :], out / "eval.jsonl", vocab)
     save_vocab(vocab, out / "vocab.txt")
     return {"pool": str(out / "pool.jsonl"), "eval": str(out / "eval.jsonl"),
-            "n_train": syn.n_examples, "n_eval": n_eval}
+            "n_train": syn.n_examples, "n_eval": cfg.corpus.n_eval}
 
 
-def cmd_split(cfg: dict) -> dict:
-    from .corpus import allocate_budget, load_corpus, save_corpus, split_manifest
+def cmd_split(cfg: Config) -> dict:
+    from .corpus import BudgetPlan, allocate_budget, load_corpus, save_corpus, split_manifest
 
-    vocab = resolve_vocab(cfg)
-    path = pool_path(cfg)
+    plan = typed(BudgetPlan, cfg.plan, "plan")
+    vocab = _Inputs(cfg).vocab
+    path = Path(cfg.corpus.pool or data_dir(cfg) / "pool.jsonl")
     if not path.exists():
         raise ConfigError(f"pool corpus not found at {path} (run gen first?)")
-    pool = load_corpus(path, vocab)
-    plan = build_plan(cfg)
-    split = allocate_budget(pool, plan, int(cfg.get("split_seed", 0)), vocab)
+    split = allocate_budget(load_corpus(path, vocab), plan, cfg.split_seed, vocab)
     out = split_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for name, part in vars(split).items():
@@ -228,12 +253,15 @@ def cmd_split(cfg: dict) -> dict:
 
 
 class _Inputs:
-    """A config's vocab, and its split and eval corpus read on first use, so
-    one command, or one serial sweep over every seed, reads each file once."""
+    """A config's vocab, its split and eval corpus read on first use, and
+    each seed's params, trained here or read from its checkpoint; so one
+    command, or one sweep over every seed, reads each file once."""
 
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.vocab = resolve_vocab(cfg)
+    def __init__(self, cfg: Config):
+        from .corpus import LabelVocab, load_vocab
+
+        self.cfg, self.trained = cfg, {}
+        self.vocab = load_vocab(cfg.vocab.path) if isinstance(cfg.vocab, VocabFile) else LabelVocab(cfg.vocab)
 
     @cached_property
     def split(self) -> CorpusSplit:
@@ -249,7 +277,7 @@ class _Inputs:
     def eval_set(self) -> Corpus:
         from .corpus import load_corpus
 
-        path = eval_path(self.cfg)
+        path = Path(self.cfg.eval_path or self.cfg.corpus.eval or data_dir(self.cfg) / "eval.jsonl")
         if not path.exists():
             raise ConfigError(f"eval corpus not found at {path}")
         examples = load_corpus(path, self.vocab)
@@ -257,100 +285,77 @@ class _Inputs:
             raise ConfigError(f"eval corpus at {path} is empty")
         return examples
 
+    def params(self, seed: int):
+        from .model import load_checkpoint, vocab_hash
 
-def _train(cfg: dict, seed: int, inputs: _Inputs):
-    """Train one seed and write its checkpoint and trainlog; returns the
-    trained params and the command's summary."""
+        if seed in self.trained:
+            return self.trained[seed]
+        path = run_dir(self.cfg, seed) / "checkpoint.bin"
+        if not path.exists():
+            raise ConfigError(f"checkpoint not found at {path} (run train first?)")
+        params, header = load_checkpoint(path)
+        expected = vocab_hash(self.vocab.names)
+        if header["vocab_hash"] != expected:
+            raise ConfigError(f"checkpoint at {path} was trained on another vocab than {self.cfg.vocab} "
+                              f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
+        return params
+
+
+def cmd_train(cfg: Config, seed: int, inputs: _Inputs) -> dict:
     from .model import save_checkpoint
     from .strategies import run_strategy
 
-    split = inputs.split
-    spec = build_strategy(cfg, seed)
-    params, log = run_strategy(spec, split, inputs.vocab)
+    params, log = run_strategy(build_strategy(cfg, seed), inputs.split, inputs.vocab)
+    inputs.trained[seed] = params
     out = run_dir(cfg, seed)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "checkpoint.bin", inputs.vocab.names, seed)
     log.write(out / "trainlog.jsonl")
-    return params, {"checkpoint": str(out / "checkpoint.bin"),
-                    "iterations": len(log.entries),
-                    "final_loss": log.entries[-1]["loss"]}
+    return {"checkpoint": str(out / "checkpoint.bin"), "iterations": len(log.entries),
+            "final_loss": log.entries[-1]["loss"]}
 
 
-def cmd_train(cfg: dict, seed: int) -> dict:
-    return _train(cfg, seed, _Inputs(cfg))[1]
-
-
-def _load_params(cfg: dict, seed: int, vocab: LabelVocab):
-    from .model import load_checkpoint, vocab_hash
-
-    path = run_dir(cfg, seed) / "checkpoint.bin"
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found at {path} (run train first?)")
-    params, header = load_checkpoint(path)
-    expected = vocab_hash(vocab.names)
-    if header["vocab_hash"] != expected:
-        raise ConfigError(f"checkpoint at {path} was trained on another vocab than {cfg['vocab']} "
-                          f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
-    return params
-
-
-def _distribution_report(cfg, P, examples, vocab) -> EvalReport:
-    from .metrics import evaluate_distribution
-
-    return evaluate_distribution(P, examples, vocab.size, n_bins=int(cfg.get("histogram_bins", 20)),
-                                 gold_source=cfg.get("gold_source", "counter"),
-                                 kl_direction=cfg.get("kl_direction", "human_model"))
-
-
-def cmd_eval(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -> dict:
-    """Evaluate ``params``, or the seed's checkpoint when none are given."""
-    from .metrics import evaluate_typing, write_histogram_csv, write_report
+def cmd_eval(cfg: Config, seed: int, inputs: _Inputs) -> dict:
+    from .metrics import evaluate_distribution, evaluate_typing, write_histogram_csv, write_report
     from .model import forward_scores
 
-    inputs = inputs or _Inputs(cfg)
     examples = inputs.eval_set
-    if params is None:
-        params = _load_params(cfg, seed, inputs.vocab)
+    scores = forward_scores(inputs.params(seed), examples.X)
     out = run_dir(cfg, seed)
-    scores = forward_scores(params, examples.X)
-    if cfg["task"] == "distribution":
-        report = _distribution_report(cfg, scores, examples, inputs.vocab)
+    if cfg.task == "distribution":
+        report = evaluate_distribution(scores, examples, inputs.vocab.size, cfg.histogram_bins,
+                                       cfg.gold_source, cfg.kl_direction)
         write_histogram_csv(report, out / "histogram.csv")
     else:
-        report = evaluate_typing(scores, examples, threshold=float(cfg.get("threshold", 0.5)))
+        report = evaluate_typing(scores, examples, threshold=cfg.threshold)
     write_report(report, out / "report.jsonl")
     return report.summary()
 
 
-def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=None) -> dict:
-    """Calibrate ``params``, or the seed's checkpoint when none are given."""
+def cmd_calibrate(cfg: Config, seed: int, inputs: _Inputs) -> dict:
     from . import calibrate as cal
-    from .metrics import entropy_rows, gold_rows, write_report
+    from .metrics import entropy_rows, evaluate_distribution, gold_rows, write_report
     from .model import forward_logits, forward_scores, softmax
 
-    calibration = build_calibration(cfg)
-    method = calibration.method
-    inputs = inputs or _Inputs(cfg)
-    vocab, examples = inputs.vocab, inputs.eval_set
-    if params is None:
-        params = _load_params(cfg, seed, vocab)
-    logits = forward_logits(params, examples.X)
+    vocab = inputs.vocab
+    calibration = build_calibration(cfg, vocab.size)
+    examples = inputs.eval_set
+    logits = forward_logits(inputs.params(seed), examples.X)
     raw_preds = softmax(logits)
 
     target = calibration.target_entropy
     if target is None:
-        gold = gold_rows(examples, vocab.size, cfg.get("gold_source", "counter"))
-        target = float(np.mean(entropy_rows(gold)))
+        target = float(np.mean(entropy_rows(gold_rows(examples, vocab.size, cfg.gold_source))))
 
     def tune(values):
         if calibration.scalar is not None:
-            return cal.TuneResult(float(calibration.scalar), float("nan"), warning=False)
-        return cal.tune_entropy_match(method, values, target)
+            return cal.TuneResult(calibration.scalar, float("nan"), warning=False)
+        return cal.tune_entropy_match(calibration.method, values, target)
 
-    if method == "temp_scaling":
+    if calibration.method == "temp_scaling":
         tuned = tune(logits)
         preds = cal.temp_scale(logits, tuned.scalar)
-    elif method == "pred_smoothing":
+    elif calibration.method == "pred_smoothing":
         tuned = tune(raw_preds)
         preds = cal.pred_smooth(raw_preds, tuned.scalar)
     else:  # train_smoothing: tune on the one-hot single targets, retrain
@@ -362,35 +367,32 @@ def cmd_calibrate(cfg: dict, seed: int, inputs: _Inputs | None = None, params=No
         params, _ = run_strategy(spec, inputs.split, vocab)
         preds = forward_scores(params, examples.X)
 
-    report = _distribution_report(cfg, preds, examples, vocab)
+    report = evaluate_distribution(preds, examples, vocab.size, cfg.histogram_bins,
+                                   cfg.gold_source, cfg.kl_direction)
     report.calibration = {
-        "method": method,
+        "method": calibration.method,
         "scalar": tuned.scalar,
         "target_entropy": target,
         "pre_entropy": float(np.mean(entropy_rows(raw_preds))),
         "post_entropy": float(np.mean(entropy_rows(np.asarray(preds)))),
         "warning": tuned.warning,
     }
-    out = run_dir(cfg, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(report, out / "report_calibrated.jsonl")
+    write_report(report, run_dir(cfg, seed) / "report_calibrated.jsonl")
     return report.summary()
 
 
-def _run_seed(cfg: dict, seed: int, inputs: _Inputs) -> None:
+def _run_seed(cfg: Config, seed: int, inputs: _Inputs) -> None:
     """Train, eval and (if configured) calibrate one seed, keeping its params in memory."""
-    params, _ = _train(cfg, seed, inputs)
-    cmd_eval(cfg, seed, inputs, params)
-    if "calibration" in cfg:
-        cmd_calibrate(cfg, seed, inputs, params)
+    for command in (cmd_train, cmd_eval) + ((cmd_calibrate,) if cfg.calibration is not None else ()):
+        command(cfg, seed, inputs)
 
 
 # a parallel sweep's inputs, read by the parent and inherited by its workers
 _sweep_inputs: _Inputs | None = None
 
 
-def _sweep_worker(cfg_json: str, seed: int) -> None:
-    _run_seed(json.loads(cfg_json), seed, _sweep_inputs)
+def _sweep_worker(cfg: Config, seed: int) -> None:
+    _run_seed(cfg, seed, _sweep_inputs)
 
 
 # names of the OpenBLAS thread-count setter across its builds
@@ -436,38 +438,35 @@ def summarize_seeds(summaries: list[dict], seeds: list[int]) -> dict:
     return {"seeds": list(seeds), "metrics": metrics}
 
 
-def cmd_sweep(cfg: dict) -> dict:
-    seeds = cfg["seeds"]
-    workers = cfg.get("workers")
-    n_workers = len(seeds) if workers is None else int(workers)
-    build_strategy(cfg, seeds[0])  # check the whole config before the first seed runs
-    if "calibration" in cfg:
-        build_calibration(cfg)
+def cmd_sweep(cfg: Config) -> dict:
     inputs = _Inputs(cfg)
-    if n_workers > 1 and len(seeds) > 1:
+    build_strategy(cfg, cfg.seeds[0])  # check the whole config before the first seed runs
+    if cfg.calibration is not None:
+        build_calibration(cfg, inputs.vocab.size)
+    n_workers = min(cfg.workers or len(cfg.seeds), len(cfg.seeds))  # a forking pool starts them all
+    if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         inputs.split, inputs.eval_set  # read once, here; forked workers inherit them
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_sweep_worker,
-                                 initargs=(inputs,)) as pool:
-            list(pool.map(_sweep_worker, [json.dumps(cfg)] * len(seeds), seeds))  # raises a worker's error
+        with ProcessPoolExecutor(n_workers, initializer=_init_sweep_worker, initargs=(inputs,)) as pool:
+            list(pool.map(_sweep_worker, [cfg] * len(cfg.seeds), cfg.seeds))  # raises a worker's error
     else:
-        for seed in seeds:
+        for seed in cfg.seeds:
             _run_seed(cfg, seed, inputs)
     return cmd_report(cfg)
 
 
-def cmd_report(cfg: dict) -> dict:
+def cmd_report(cfg: Config) -> dict:
     from .metrics import read_report_summary
 
     summaries = []
-    for seed in cfg["seeds"]:
+    for seed in cfg.seeds:
         path = run_dir(cfg, seed) / "report.jsonl"
         if not path.exists():
             raise ConfigError(f"report not found at {path} (run eval or sweep first?)")
         summaries.append(read_report_summary(path))
-    summary = summarize_seeds(summaries, cfg["seeds"])
-    return _write_json(Path(cfg["outdir"]) / config_hash(cfg) / "summary.json", summary)
+    summary = summarize_seeds(summaries, cfg.seeds)
+    return _write_json(Path(cfg.outdir) / config_hash(cfg) / "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +498,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.out is not None:
-            cfg["outdir"] = args.out
-        seed = () if "seed" not in args else (cfg["seeds"][0] if args.seed is None else args.seed,)
-        result = globals()[f"cmd_{args.command}"](cfg, *seed)
+            cfg = replace(cfg, outdir=args.out)
+        command = globals()[f"cmd_{args.command}"]
+        result = command(cfg) if "seed" not in args else command(
+            cfg, cfg.seeds[0] if args.seed is None else args.seed, _Inputs(cfg))
     except Exception as e:  # one machine-readable line per failure
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 1

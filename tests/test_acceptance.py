@@ -462,6 +462,7 @@ def test_criterion_9_determinism(tmp_path):
         for command in ("gen", "split", "sweep", "calibrate", "report"):
             assert cli.main([command, "--config", str(config_path)]) == 0
 
+    cfg = cli.load_config(config_path)
     tracked = [
         cli.data_dir(cfg) / "pool.jsonl",
         cli.data_dir(cfg) / "eval.jsonl",

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,7 @@ class TestGen:
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
         assert run_cli("gen", "--config", str(path)) == 0
-        data = cli.data_dir(cfg)
+        data = cli.data_dir(cli.load_config(path))
         pool = load_corpus(data / "pool.jsonl", VOCAB)
         evalset = load_corpus(data / "eval.jsonl", VOCAB)
         assert len(pool) == 120 and len(evalset) == 40
@@ -70,7 +72,7 @@ class TestGen:
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
         run_cli("gen", "--config", str(path))
-        data = cli.data_dir(cfg)
+        data = cli.data_dir(cli.load_config(path))
         before = (data / "pool.jsonl").read_bytes(), (data / "eval.jsonl").read_bytes()
         run_cli("gen", "--config", str(path))
         after = (data / "pool.jsonl").read_bytes(), (data / "eval.jsonl").read_bytes()
@@ -83,7 +85,7 @@ class TestSplit:
         path = write_config(tmp_path, cfg)
         run_cli("gen", "--config", str(path))
         assert run_cli("split", "--config", str(path)) == 0
-        manifest = json.loads((cli.split_dir(cfg) / "manifest.json").read_text())
+        manifest = json.loads((cli.split_dir(cli.load_config(path)) / "manifest.json").read_text())
         assert manifest["label_total"] == 100
         assert manifest["n_singles"] == 60
         assert manifest["n_multis"] == 4
@@ -98,7 +100,7 @@ class TestSplit:
         path = write_config(tmp_path, cfg)
         run_cli("gen", "--config", str(path))
         run_cli("split", "--config", str(path))
-        multis = load_corpus(cli.split_dir(cfg) / "multis.jsonl", VOCAB)
+        multis = load_corpus(cli.split_dir(cli.load_config(path)) / "multis.jsonl", VOCAB)
         assert len(multis) == 0
 
     def test_infeasible_plan_fails_with_error_line(self, tmp_path, capsys):
@@ -125,7 +127,7 @@ class TestTrainEval:
     def test_train_then_eval_writes_report(self, tmp_path):
         cfg, path = self.prepared(tmp_path)
         assert run_cli("train", "--config", str(path)) == 0
-        run = cli.run_dir(cfg, 0)
+        run = cli.run_dir(cli.load_config(path), 0)
         assert (run / "checkpoint.bin").exists()
         assert (run / "trainlog.jsonl").exists()
         assert run_cli("eval", "--config", str(path)) == 0
@@ -151,16 +153,16 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert "another vocab" in json.loads(err)["error"]
         assert str(vocab_file) in json.loads(err)["error"]
-        assert not (cli.run_dir(cfg, 0) / "report.jsonl").exists()
+        assert not (cli.run_dir(cli.load_config(path), 0) / "report.jsonl").exists()
 
     def test_eval_only_settings_keep_the_run_directory(self, tmp_path):
         cfg, path = self.prepared(tmp_path)
         assert run_cli("train", "--config", str(path)) == 0
-        scored = dict(cfg, histogram_bins=10, gold_source="true_dist",
-                      kl_direction="model_human", threshold=0.3)
-        assert cli.run_dir(scored, 0) == cli.run_dir(cfg, 0)
-        assert run_cli("eval", "--config", str(write_config(tmp_path, scored, "scored.json"))) == 0
-        with open(cli.run_dir(cfg, 0) / "histogram.csv") as f:
+        scored = write_config(tmp_path, dict(cfg, histogram_bins=10, gold_source="true_dist",
+                                             kl_direction="model_human", threshold=0.3), "scored.json")
+        assert cli.run_dir(cli.load_config(scored), 0) == cli.run_dir(cli.load_config(path), 0)
+        assert run_cli("eval", "--config", str(scored)) == 0
+        with open(cli.run_dir(cli.load_config(path), 0) / "histogram.csv") as f:
             assert len(f.readlines()) == 1 + 10
 
     def test_untrained_uniform_model_matches_direct_metrics(self, tmp_path):
@@ -169,12 +171,12 @@ class TestTrainEval:
         params = init_params(4, (8,), 3, seed=0)
         for W in params.weights:
             W[:] = 0.0
-        run = cli.run_dir(cfg, 0)
+        run = cli.run_dir(cli.load_config(path), 0)
         run.mkdir(parents=True, exist_ok=True)
         save_checkpoint(params, run / "checkpoint.bin", VOCAB.names, 0)
         run_cli("eval", "--config", str(path))
         summary = read_report_summary(run / "report.jsonl")
-        evalset = load_corpus(cli.eval_path(cfg), VOCAB)
+        evalset = load_corpus(cli.data_dir(cli.load_config(path)) / "eval.jsonl", VOCAB)
         uniform = np.ones(3) / 3
         expected = np.mean(
             [kl_rows([gold], [uniform])[0] for gold in gold_rows(evalset, 3, "counter")]
@@ -195,10 +197,10 @@ class TestTrainEval:
         other_path = write_config(tmp_path, other, "other.json")
         run_cli("gen", "--config", str(other_path))
         ood = dict(cfg)
-        ood["eval_path"] = str(cli.data_dir(other) / "eval.jsonl")
+        ood["eval_path"] = str(cli.data_dir(cli.load_config(other_path)) / "eval.jsonl")
         ood_path = write_config(tmp_path, ood, "ood.json")
         assert run_cli("eval", "--config", str(ood_path)) == 0
-        summary = read_report_summary(cli.run_dir(ood, 0) / "report.jsonl")
+        summary = read_report_summary(cli.run_dir(cli.load_config(ood_path), 0) / "report.jsonl")
         assert summary["n_examples"] == 25
 
 
@@ -214,7 +216,7 @@ class TestCalibrateCommand:
         for command in ("gen", "split", "train", "eval"):
             assert run_cli(command, "--config", str(path)) == 0
         assert run_cli("calibrate", "--config", str(path)) == 0
-        run = cli.run_dir(cfg, 0)
+        run = cli.run_dir(cli.load_config(path), 0)
         plain = read_report_summary(run / "report.jsonl")
         calibrated = read_report_summary(run / "report_calibrated.jsonl")
         assert calibrated["acc_old"] == plain["acc_old"]
@@ -233,7 +235,7 @@ class TestCalibrateCommand:
         for command in ("gen", "split", "train"):
             run_cli(command, "--config", str(path))
         assert run_cli("calibrate", "--config", str(path)) == 0
-        calibrated = read_report_summary(cli.run_dir(cfg, 0) / "report_calibrated.jsonl")
+        calibrated = read_report_summary(cli.run_dir(cli.load_config(path), 0) / "report_calibrated.jsonl")
         assert 0 < calibrated["calibration"]["scalar"] < 1
 
     def test_pred_smoothing_with_fixed_scalar(self, tmp_path):
@@ -244,7 +246,7 @@ class TestCalibrateCommand:
         for command in ("gen", "split", "train"):
             run_cli(command, "--config", str(path))
         assert run_cli("calibrate", "--config", str(path)) == 0
-        calibrated = read_report_summary(cli.run_dir(cfg, 0) / "report_calibrated.jsonl")
+        calibrated = read_report_summary(cli.run_dir(cli.load_config(path), 0) / "report_calibrated.jsonl")
         meta = calibrated["calibration"]
         assert meta["scalar"] == 0.05
         assert meta["post_entropy"] > meta["pre_entropy"]
@@ -263,14 +265,14 @@ class TestSweep:
         run_cli("split", "--config", str(path))
         assert run_cli("sweep", "--config", str(path)) == 0
         summary = json.loads(
-            (cli.run_dir(cfg, 0).parent / "summary.json").read_text()
+            (cli.run_dir(cli.load_config(path), 0).parent / "summary.json").read_text()
         )
         assert summary["seeds"] == [0, 1, 2]
         kl = summary["metrics"]["kl"]
         assert kl["stddev"] >= 0.0
         assert kl["stddev"] < 0.02  # stable synthetic config
         for seed in (0, 1, 2):
-            assert (cli.run_dir(cfg, seed) / "report.jsonl").exists()
+            assert (cli.run_dir(cli.load_config(path), seed) / "report.jsonl").exists()
 
     def test_parallel_sweep_reads_inputs_once_in_parent(self, tmp_path, monkeypatch):
         cfg = base_config(tmp_path, seeds=[0, 1, 2, 3], workers=2)
@@ -313,6 +315,7 @@ class TestSweep:
         assert run_cli("report", "--config", str(pc)) == 0
         files = ("checkpoint.bin", "trainlog.jsonl", "report.jsonl",
                  "report_calibrated.jsonl", "histogram.csv")
+        serial, parallel, per_seed = (cli.load_config(p) for p in (ps, pp, pc))
         for seed in (0, 1):
             for name in files:
                 want = (cli.run_dir(serial, seed) / name).read_bytes()
@@ -328,7 +331,7 @@ class TestSweep:
         run_cli("gen", "--config", str(path))
         run_cli("split", "--config", str(path))
         run_cli("sweep", "--config", str(path))
-        summary_path = cli.run_dir(cfg, 0).parent / "summary.json"
+        summary_path = cli.run_dir(cli.load_config(path), 0).parent / "summary.json"
         before = summary_path.read_bytes()
         assert run_cli("report", "--config", str(path)) == 0
         assert summary_path.read_bytes() == before
@@ -348,7 +351,7 @@ class TestSweep:
         run_cli("gen", "--config", str(path))
         run_cli("split", "--config", str(path))
         run_cli("sweep", "--config", str(path))
-        report = cli.run_dir(cfg, 1) / "report.jsonl"
+        report = cli.run_dir(cli.load_config(path), 1) / "report.jsonl"
         lines = report.read_text().splitlines(keepends=True)
         summary = json.loads(lines[0])
         del summary["jsd"]
@@ -394,10 +397,10 @@ class TestTypingTask:
         path = write_config(tmp_path, cfg, "typing.json")
         for command in ("split", "train", "eval"):
             assert run_cli(command, "--config", str(path)) == 0
-        summary = read_report_summary(cli.run_dir(cfg, 0) / "report.jsonl")
+        summary = read_report_summary(cli.run_dir(cli.load_config(path), 0) / "report.jsonl")
         for key in ("macro_p", "macro_r", "macro_f1", "mrr"):
             assert 0.0 <= summary[key] <= 1.0
-        manifest = json.loads((cli.split_dir(cfg) / "manifest.json").read_text())
+        manifest = json.loads((cli.split_dir(cli.load_config(path)) / "manifest.json").read_text())
         assert manifest["label_total"] == 50
 
     def test_gen_rejects_typing(self, tmp_path, capsys):
@@ -483,7 +486,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert [json.loads(line) for line in err] == [
             {"error": "ConfigError: unknown calibration key 'scalr'"}]
-        assert not (cli.run_dir(cfg, 0) / "report_calibrated.jsonl").exists()
+        assert not (cli.run_dir(cli.load_config(path), 0) / "report_calibrated.jsonl").exists()
 
     def test_sweep_checks_calibration_before_the_first_seed(self, tmp_path, capsys):
         cfg = base_config(tmp_path, seeds=[0, 1],
@@ -496,7 +499,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert [json.loads(line) for line in err] == [
             {"error": "ConfigError: unknown calibration key 'scalr'"}]
-        assert not any((cli.run_dir(cfg, seed) / "checkpoint.bin").exists() for seed in (0, 1))
+        assert not any((cli.run_dir(cli.load_config(path), seed) / "checkpoint.bin").exists() for seed in (0, 1))
 
     @pytest.mark.parametrize("command", ["gen", "split", "sweep", "report"])
     def test_seed_flag_only_where_a_command_reads_it(self, tmp_path, command, capsys):
@@ -511,8 +514,7 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         alt = tmp_path / "elsewhere"
         assert run_cli("gen", "--config", str(path), "--out", str(alt)) == 0
-        moved = dict(cfg)
-        moved["outdir"] = str(alt)
+        moved = replace(cli.load_config(path), outdir=str(alt))
         assert (cli.data_dir(moved) / "pool.jsonl").exists()
 
 
@@ -540,11 +542,11 @@ class TestErrorPaths:
         "calibration on typing": ("calibrate", {"task": "typing", "calibration": {"method": "temp_scaling"}}, (),
                                   (), "ConfigError: calibration supports the distribution task only"),
         "bad vocab spec": ("gen", {"vocab": "ENC"}, (), (),
-                           "ConfigError: vocab must be a list of names or {{'path': ...}}"),
+                           "ConfigError: vocab must be a list or a JSON object, got 'ENC'"),
         "gen without synthetic": ("gen", {"corpus": {"pool": "pool.jsonl"}}, (), (),
                                   "ConfigError: gen needs a synthetic corpus section"),
-        "no plan": ("split", {}, ("plan",), ("gen",), "ConfigError: config has no budget plan"),
-        "no strategy": ("sweep", {}, ("strategy",), (), "ConfigError: config has no strategy"),
+        "no plan": ("split", {}, ("plan",), ("gen",), "ConfigError: config has no plan section"),
+        "no strategy": ("sweep", {}, ("strategy",), (), "ConfigError: config has no strategy section"),
         "no calibration": ("calibrate", {}, (), (), "ConfigError: config has no calibration section"),
     }
 
@@ -560,9 +562,11 @@ class TestErrorPaths:
             assert run_cli(step, "--config", str(path)) == 0
         capsys.readouterr()
         assert run_cli(command, "--config", str(path)) == 1
-        places = {"tmp": tmp_path, "pool": cli.pool_path(cfg), "run": cli.run_dir(cfg, 0)}
-        if "plan" in cfg:
-            places["split"] = cli.split_dir(cfg)
+        places = {"tmp": tmp_path}
+        if any(f"{{{place}}}" in expected for place in ("pool", "split", "run")):
+            loaded = cli.load_config(path)
+            places.update(pool=cli.data_dir(loaded) / "pool.jsonl", split=cli.split_dir(loaded),
+                          run=cli.run_dir(loaded, 0))
         assert error_lines(capsys) == [{"error": expected.format(**places)}]
 
     def test_config_not_an_object(self, tmp_path, capsys):
@@ -582,7 +586,7 @@ class TestCorruptArtifacts:
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
         assert run_cli("gen", "--config", str(path)) == 0
-        checkpoint = cli.run_dir(cfg, 0) / "checkpoint.bin"
+        checkpoint = cli.run_dir(cli.load_config(path), 0) / "checkpoint.bin"
         checkpoint.parent.mkdir(parents=True)
         checkpoint.write_bytes(header + b"\n" + bytes(16))
         capsys.readouterr()
@@ -593,7 +597,7 @@ class TestCorruptArtifacts:
     def test_empty_report(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
-        report = cli.run_dir(cfg, 0) / "report.jsonl"
+        report = cli.run_dir(cli.load_config(path), 0) / "report.jsonl"
         report.parent.mkdir(parents=True)
         report.write_text("")
         assert run_cli("report", "--config", str(path)) == 1
@@ -643,14 +647,159 @@ class TestUnreadConfigKeys:
         assert self.run_bad(tmp_path, capsys, "gen", cfg) == (
             "ConfigError: unknown corpus.synthetic key 'n_example'")
 
-    @pytest.mark.parametrize("seeds", [[0, 0], [1, 2, 1], [0, 1.5], [True], "01"])
-    def test_seeds_must_be_distinct_integers(self, tmp_path, capsys, seeds):
+    @pytest.mark.parametrize("seeds, error", [
+        pytest.param([0, 0], "seeds must be a list of distinct integers, got [0, 0]", id="seeds0"),
+        pytest.param([1, 2, 1], "seeds must be a list of distinct integers, got [1, 2, 1]", id="seeds1"),
+        pytest.param([0, 1.5], "seeds[1] must be an integer, got 1.5", id="seeds2"),
+        pytest.param([True], "seeds[0] must be an integer, got True", id="seeds3"),
+        pytest.param("01", "seeds must be a list, got '01'", id="01"),
+    ])
+    def test_seeds_must_be_distinct_integers(self, tmp_path, capsys, seeds, error):
         cfg = base_config(tmp_path, seeds=seeds)
-        assert self.run_bad(tmp_path, capsys, "sweep", cfg) == (
-            f"ConfigError: seeds must be a list of distinct integers, got {seeds!r}")
+        assert self.run_bad(tmp_path, capsys, "sweep", cfg) == f"ConfigError: {error}"
 
     def test_k_classes_may_be_left_out(self, tmp_path):
         cfg = base_config(tmp_path)
         del cfg["corpus"]["synthetic"]["k_classes"]
-        assert run_cli("gen", "--config", str(write_config(tmp_path, cfg))) == 0
-        assert load_corpus(cli.data_dir(cfg) / "pool.jsonl", VOCAB).counter.shape == (120, 3)
+        path = write_config(tmp_path, cfg)
+        assert run_cli("gen", "--config", str(path)) == 0
+        assert load_corpus(cli.data_dir(cli.load_config(path)) / "pool.jsonl", VOCAB).counter.shape == (120, 3)
+
+
+MISSING = object()  # a key the case deletes
+
+
+def case(command, key, value, named=None):
+    return pytest.param(command, key, value, named or key, id=f"{key}={'missing' if value is MISSING else repr(value)}")
+
+
+class TestConfigChecks:
+    """A config value of the wrong type or out of range fails before any seed
+    trains: exit 1, one {"error": ...} line that names its dotted key, and no
+    file written."""
+
+    TYPE_GAPS = [
+        case("split", "split_seed", "0"),
+        case("sweep", "gold_source", "counters"),
+        case("sweep", "kl_direction", "forward"),
+        case("sweep", "eval_path", 7),
+        case("sweep", "strategy.iterations_main", "40"),
+        case("sweep", "strategy.lr", "0.01"),
+        case("sweep", "strategy.hidden_sizes", 8),
+        case("sweep", "strategy.mixup.batch_size", 16.0),
+        case("sweep", "strategy.mixup.eta", "1"),
+        case("split", "plan.n_single", 60.0),
+        case("gen", "outdir", 5),
+        case("gen", "vocab", {"path": 5}, "vocab.path"),
+        case("gen", "corpus", 5),
+        case("gen", "corpus.n_eval", "x"),
+        case("gen", "corpus.synthetic.n_examples", MISSING),
+        case("gen", "corpus.synthetic.ambiguous_fraction", "0.5"),
+        case("sweep", "calibration", {"method": "temp_scaling", "target_entropy": "1.0"},
+             "calibration.target_entropy"),
+    ]
+    RANGE_GAPS = [
+        case("sweep", "workers", 0),
+        case("sweep", "workers", "2"),
+        case("sweep", "seeds", []),
+        case("split", "split_seed", -1),
+        case("split", "split_seed", True),
+        case("sweep", "histogram_bins", 0),
+        case("sweep", "threshold", 0),
+        case("sweep", "threshold", 1.5),
+        case("sweep", "calibration", {"method": "temp_scaling", "scalar": -1}, "calibration.scalar"),
+        case("sweep", "calibration", {"method": "pred_smoothing", "scalar": 2.0}, "calibration.scalar"),
+        case("sweep", "calibration", {"method": "train_smoothing", "scalar": 1.5}, "calibration.scalar"),
+        case("sweep", "calibration", {"method": "temp_scaling", "target_entropy": 5.0},
+             "calibration.target_entropy"),
+        case("sweep", "calibration", {"method": "pred_smoothing", "target_entropy": -0.5},
+             "calibration.target_entropy"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def prepared(self, tmp_path_factory):
+        """A two-seed config whose pool and split exist, so a sweep could train."""
+        tmp = tmp_path_factory.mktemp("checks")
+        cfg = base_config(tmp, seeds=[0, 1])
+        path = write_config(tmp, cfg)
+        for command in ("gen", "split"):
+            assert run_cli(command, "--config", str(path)) == 0
+        return tmp, cfg
+
+    def rejected(self, prepared, capsys, command, key, value, named):
+        tmp, cfg = prepared
+        bad = json.loads(json.dumps(cfg))
+        *parents, last = key.split(".")
+        section = bad
+        for part in parents:
+            section = section[part]
+        if value is MISSING:
+            del section[last]
+        else:
+            section[last] = value
+        path = write_config(tmp, bad, "bad.json")
+        before = sorted(tmp.rglob("*"))
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(path)) == 1
+        (line,) = error_lines(capsys)
+        assert f"{named} " in line["error"] or f"{named}'" in line["error"], line
+        assert sorted(tmp.rglob("*")) == before  # no checkpoint, split or report
+
+    @pytest.mark.parametrize("command, key, value, named", TYPE_GAPS)
+    def test_type_gap(self, prepared, capsys, command, key, value, named):
+        self.rejected(prepared, capsys, command, key, value, named)
+
+    @pytest.mark.parametrize("command, key, value, named", RANGE_GAPS)
+    def test_range_gap(self, prepared, capsys, command, key, value, named):
+        self.rejected(prepared, capsys, command, key, value, named)
+
+    def test_int_passes_for_a_float_and_is_converted(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path, calibration={"method": "temp_scaling", "scalar": 2}))
+        cfg = cli.load_config(path)
+        assert type(cli.build_calibration(cfg, 3).scalar) is float
+        assert cli.build_strategy(cfg, 0).hidden_sizes == (8,)
+
+
+class TestDirectoryHashes:
+    """Directory names are hashes of the raw config JSON; these are the names
+    that earlier versions computed, which keep old run directories valid."""
+
+    DATA, SPLIT, RUN = "875c1e8bfd74", "split-10defbb919fb", "cf561726f45a"
+
+    def test_base_config(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, base_config(tmp_path)))
+        runs = tmp_path / "runs"
+        assert cli.data_dir(cfg) == runs / "data" / self.DATA
+        assert cli.split_dir(cfg) == runs / "data" / self.DATA / self.SPLIT
+        assert cli.run_dir(cfg, 3) == runs / self.RUN / "3"
+
+    def test_under_out_flag(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path))
+        alt = tmp_path / "elsewhere"
+        for command in ("gen", "split", "sweep"):
+            assert run_cli(command, "--config", str(path), "--out", str(alt)) == 0
+        assert (alt / "data" / self.DATA / self.SPLIT / "manifest.json").exists()
+        assert (alt / self.RUN / "0" / "checkpoint.bin").exists()
+        assert (alt / self.RUN / "summary.json").exists()
+        assert not (tmp_path / "runs").exists()
+
+
+class TestReadme:
+    """The README's CLI section cannot drift from the config schema."""
+
+    def cli_section(self) -> str:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_example_config_loads(self, tmp_path):
+        example = self.cli_section().split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "demo.json"
+        path.write_text(example)
+        cfg = cli.load_config(path)
+        cli.build_strategy(cfg, cfg.seeds[0])
+        cli.build_calibration(cfg, len(cfg.vocab))
+
+    def test_key_table_names_every_config_key(self):
+        table = re.findall(r"^\| `(\w+)` \|", self.cli_section(), flags=re.MULTILINE)
+        assert len(table) == len(set(table))
+        assert set(table) == {f.name for f in fields(cli.Config)} - {"raw"}

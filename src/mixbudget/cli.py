@@ -64,6 +64,10 @@ class CorpusSource:
     pool: str | None = None
     eval: str | None = None
 
+    def __post_init__(self):
+        if self.n_eval < 0:
+            raise ConfigError(f"n_eval must be >= 0, got {self.n_eval!r}")
+
 
 @dataclass(frozen=True)
 class Config:
@@ -130,7 +134,8 @@ def _typed_value(tp, value, key: str):
 
 def typed(cls, section, name: str, **given):
     """The dataclass ``cls`` from the JSON object ``section`` at dotted key ``name`` and the fields ``given``,
-    which are not keys. An unknown or missing key, or a value of the wrong JSON type, names its dotted key."""
+    which are not keys. An unknown or missing key, a value of the wrong JSON type, or a library range error
+    that starts with a key names its dotted key; another library range error is prefixed with ``name``."""
     if section is None:
         raise ConfigError(f"config has no {name} section")
     if type(section) is not dict:
@@ -143,7 +148,14 @@ def typed(cls, section, name: str, **given):
         if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"config is missing required key {dotted[f.name]!r}")
     hints = get_type_hints(cls)
-    return cls(**given, **{k: _typed_value(hints[k], v, dotted[k]) for k, v in section.items()})
+    values = {k: _typed_value(hints[k], v, dotted[k]) for k, v in section.items()}
+    try:
+        return cls(**given, **values)
+    except ValueError as e:
+        if not type(e).__module__.startswith(f"{__package__}."):  # not one of the library's range checks
+            raise
+        key, _, rest = str(e).partition(" ")
+        raise type(e)(f"{dotted[key]} {rest}" if key in dotted else f"{name}: {e}") from None
 
 
 def load_config(path) -> Config:

@@ -196,7 +196,7 @@ class BudgetPlan:
     def __post_init__(self):
         for name in ("total_labels", "n_single", "n_multi", "k_per_multi", "n_unlabeled"):
             if getattr(self, name) < 0:
-                raise CorpusError(f"plan field {name} must be >= 0")
+                raise CorpusError(f"{name} must be >= 0")
         if self.n_single * 1 + self.n_multi * self.k_per_multi != self.total_labels:
             raise CorpusError(
                 f"plan does not balance: {self.n_single} * 1 + {self.n_multi} * "

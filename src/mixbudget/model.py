@@ -55,10 +55,10 @@ class ClassifierParams:
         return out
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Views of a vector laid out like ``flat``, one per ``arrays()`` entry."""
+        """Views of a vector (or a stack of vectors) laid out like ``flat``, one per ``arrays()`` entry."""
         out, start = [], 0
         for a in self.arrays():
-            out.append(vec[start:start + a.size].reshape(a.shape))
+            out.append(vec[..., start:start + a.size].reshape(*vec.shape[:-1], *a.shape))
             start += a.size
         return out
 
@@ -92,14 +92,16 @@ def _check_input(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_cached(params: ClassifierParams, X: np.ndarray):
-    """Returns (logits, activations) with activations[i] the input to layer i."""
+def _forward_cached(params: ClassifierParams, X: np.ndarray, ws: Workspace | None = None):
+    """Returns (logits, activations) with activations[i] the input to layer
+    i; the layer outputs go to ``ws.acts`` if given, else to new arrays."""
     acts = [X]
-    a = X
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W + b
-        a = z if i == len(params.weights) - 1 else np.tanh(z)
-        acts.append(a)
+        z = np.matmul(acts[-1], W, out=None if ws is None else ws.acts[i])
+        z += b
+        if i < len(params.weights) - 1:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts[-1], acts
 
 
@@ -140,14 +142,15 @@ def forward_scores(params: ClassifierParams, x) -> np.ndarray:
 # losses
 # ---------------------------------------------------------------------------
 
-def batch_soft_cross_entropy(P: np.ndarray, T: np.ndarray) -> float:
-    """Mean over rows of -sum_c T_c * ln(P_c), with P clamped at 1e-12.
+def batch_soft_cross_entropy(P: np.ndarray, T: np.ndarray):
+    """Mean over rows (per group of a (groups, rows, k) stack) of
+    -sum_c T_c * ln(P_c), with P clamped at 1e-12.
 
     Equals KL(T || P) plus the target entropy, so its gradients in the
     model parameters are identical to the KL objective's.
     """
     P = np.maximum(np.asarray(P, dtype=np.float64), PRED_CLAMP)
-    return float(-np.mean(np.sum(T * np.log(P), axis=1)))
+    return -np.mean(np.sum(T * np.log(P), axis=-1), axis=-1)
 
 
 def negative_weights(targets: np.ndarray, w_neg: float) -> np.ndarray:
@@ -157,16 +160,16 @@ def negative_weights(targets: np.ndarray, w_neg: float) -> np.ndarray:
     return w_neg + (1.0 - w_neg) * targets
 
 
-def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray, w_neg: float = 0.1) -> float:
-    """Mean over rows, and over types within a row, of binary cross-entropy
-    against multi-hot targets, negative terms down-weighted by ``w_neg``
-    (annotations are partial, so an unannotated type is only weak evidence
-    of absence)."""
+def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray, w_neg: float = 0.1):
+    """Mean over rows (per group of a stack), and over types within a row,
+    of binary cross-entropy against multi-hot targets, negative terms
+    down-weighted by ``w_neg`` (annotations are partial, so an unannotated
+    type is only weak evidence of absence)."""
     S = np.clip(np.asarray(S, dtype=np.float64), PRED_CLAMP, 1.0 - PRED_CLAMP)
     Y = np.asarray(Y, dtype=np.float64)
     w = negative_weights(Y, w_neg)
     per_type = -(Y * np.log(S) + (1.0 - Y) * np.log(1.0 - S))
-    return float(np.mean(np.sum(w * per_type, axis=1) / S.shape[1]))
+    return np.mean(np.sum(w * per_type, axis=-1) / S.shape[-1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +191,9 @@ def threshold_types(S: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 @dataclass(frozen=True)
 class Head:
     """One output head. ``activate`` maps logits to scores; ``loss`` and
-    ``dlogits`` take (scores, targets, w_neg) and give the mean batch loss
-    and its gradient in the logits; ``sharpen`` maps a 2-D score batch to
-    hard targets (pseudo labels)."""
+    ``dlogits`` take (scores, targets, w_neg), stacked (groups, rows, k),
+    and give each group's mean loss and its gradient in the logits;
+    ``sharpen`` maps a 2-D score batch to hard targets (pseudo labels)."""
 
     activate: Callable
     loss: Callable
@@ -203,13 +206,13 @@ HEADS = {
         activate=softmax,
         loss=lambda P, T, w_neg: batch_soft_cross_entropy(P, T),
         # d(mean CE)/dlogits for targets summing to 1
-        dlogits=lambda P, T, w_neg: (P - T) / len(P),
+        dlogits=lambda P, T, w_neg: (P - T) / P.shape[-2],
         sharpen=lambda P: np.eye(P.shape[1])[np.argmax(P, axis=1)],
     ),
     "sigmoid": Head(
         activate=sigmoid,
         loss=batch_multilabel_bce,
-        dlogits=lambda S, Y, w_neg: negative_weights(Y, w_neg) * (S - Y) / (Y.shape[1] * len(S)),
+        dlogits=lambda S, Y, w_neg: negative_weights(Y, w_neg) * (S - Y) / (Y.shape[-1] * S.shape[-2]),
         sharpen=threshold_types,
     ),
 }
@@ -219,36 +222,54 @@ HEADS = {
 # gradients
 # ---------------------------------------------------------------------------
 
-def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ_out: np.ndarray) -> np.ndarray:
-    """Backpropagate a final-layer logit gradient through the tanh stack
-    into one gradient vector laid out like ``params.flat``."""
-    grad = np.empty_like(params.flat)
-    views = params.views(grad)
-    dZ = dZ_out
+class Workspace:
+    """``grad_batch``'s buffers for ``groups`` groups of ``batch_size`` rows, made once and reused:
+    each layer's output (groups, batch_size, width), a scratch block as large as the widest hidden
+    one, and one gradient per group laid out like ``params.flat``."""
+
+    def __init__(self, params: ClassifierParams, batch_size: int, groups: int = 1):
+        self.groups = groups
+        self.acts = [np.empty((groups, batch_size, W.shape[1])) for W in params.weights]
+        widest = max((W.shape[0] for W in params.weights[1:]), default=0)
+        self.scratch = np.empty(groups * batch_size * widest)
+        self.grads = np.empty((groups, params.flat.size))
+
+
+def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Backpropagate a final-layer logit gradient, stacked (groups, rows,
+    k), through the tanh stack into ``ws.grads``, one gradient per group.
+    Spends ``acts``: each hidden activation is overwritten by its dZ."""
+    views = params.views(ws.grads)
     for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, dZ, out=views[2 * i])   # dW
-        dZ.sum(axis=0, out=views[2 * i + 1])         # db
+        np.matmul(acts[i].transpose(0, 2, 1), dZ, out=views[2 * i])  # dW
+        dZ.sum(axis=1, out=views[2 * i + 1])                         # db
         if i > 0:
-            dA = dZ @ params.weights[i].T
-            dZ = dA * (1.0 - acts[i] ** 2)           # tanh'
-    return grad
+            a = acts[i]
+            dA = np.matmul(dZ, params.weights[i].T, out=ws.scratch[:a.size].reshape(a.shape))
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            dZ = np.multiply(dA, a, out=a)                           # dA * tanh'
+    return ws.grads
 
 
-def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1) -> tuple[float, np.ndarray]:
-    """Loss and analytic gradient of the head's mean batch loss: soft
-    cross-entropy (softmax head) or down-weighted multi-label BCE (sigmoid
-    head, negatives weighted by ``w_neg``). The gradient is one vector
-    laid out like ``params.flat``. Valid while predictions sit above the
-    clamp, which holds everywhere the loss is finite anyway.
+def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1,
+               ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and analytic gradients (in ``ws``, laid out like ``params.flat``) of the head's mean batch
+    loss, soft cross-entropy (softmax) or BCE with negatives weighted by ``w_neg`` (sigmoid), for each
+    of ``ws.groups`` equal groups of rows (one without ``ws``). Each group runs its own matmuls, so its
+    results are bit for bit a lone batch's. Valid while predictions sit above the clamp, which holds
+    everywhere the loss is finite anyway.
     """
     head = HEADS[params.head]
     X = np.atleast_2d(_check_input(params, X))
     T = np.atleast_2d(np.asarray(T, dtype=np.float64))
     if len(X) == 0:
         raise ValueError("empty batch")
-    logits, acts = _forward_cached(params, X)
+    ws = Workspace(params, len(X)) if ws is None else ws
+    logits, acts = _forward_cached(params, X.reshape(ws.groups, -1, X.shape[1]), ws)
     S = head.activate(logits)
-    return head.loss(S, T, w_neg), _backprop(params, acts, head.dlogits(S, T, w_neg))
+    T = T.reshape(S.shape)
+    return head.loss(S, T, w_neg), _backprop(params, acts, head.dlogits(S, T, w_neg), ws)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +278,12 @@ def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1) -> tuple[floa
 
 @dataclass
 class AdamState:
-    """Moment vectors for Adam with bias correction, laid out like
-    ``ClassifierParams.flat``."""
+    """Moment vectors for Adam with bias correction, and two scratch
+    vectors for the update, laid out like ``ClassifierParams.flat``."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray  # (2, n_params)
     step: int = 0
     lr: float = 1e-5
     beta1: float = 0.9
@@ -270,7 +292,8 @@ class AdamState:
 
 
 def init_adam(params: ClassifierParams, lr: float = 1e-5) -> AdamState:
-    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
+    n = params.flat.size
+    return AdamState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, n)), lr=lr)
 
 
 def adam_step(params: ClassifierParams, state: AdamState, grad: np.ndarray) -> None:
@@ -280,13 +303,15 @@ def adam_step(params: ClassifierParams, state: AdamState, grad: np.ndarray) -> N
         raise ValueError(f"gradient shape {np.shape(grad)} does not match parameters {params.flat.shape}")
     state.step += 1
     t = state.step
+    a, b = state.scratch
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
+    state.m += np.multiply(1.0 - state.beta1, grad, out=a)
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-    params.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.v += np.multiply(np.multiply(1.0 - state.beta2, grad, out=a), grad, out=a)
+    np.multiply(state.lr, np.divide(state.m, 1.0 - state.beta1**t, out=a), out=a)  # lr * m_hat
+    np.sqrt(np.divide(state.v, 1.0 - state.beta2**t, out=b), out=b)                # sqrt(v_hat)
+    b += state.eps
+    params.flat -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------

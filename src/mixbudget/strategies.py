@@ -19,6 +19,7 @@ from .corpus import CorpusSplit, LabelVocab
 from .model import (
     HEADS,
     ClassifierParams,
+    Workspace,
     adam_step,
     forward_scores,
     grad_batch,
@@ -224,38 +225,44 @@ def draw_pairing(rng: np.random.Generator, terms, batch_size: int, cfg: MixupCon
     return MixPairing(lam=lam, term_pairs=pairs)
 
 
-def apply_pairing(batches: dict, pairing: MixPairing) -> dict:
-    """Build the mixed (X, Y) batch for every term in the pairing."""
-    out = {}
-    for term, (idx_a, idx_b) in pairing.term_pairs.items():
-        set_a, set_b = TERMS[term]
-        Xa, Ya = batches[set_a]
-        Xb, Yb = batches[set_b]
-        out[term] = mix_batches((Xa[idx_a], Ya[idx_a]), (Xb[idx_b], Yb[idx_b]), pairing.lam)
-    return out
+def apply_pairing(batches: dict, pairing: MixPairing) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """(terms, X, Y): the mixed batch of every term in the pairing, stacked
+    in its term order, each side gathered by one index over all batches."""
+    keys = list(batches)
+    starts = dict(zip(keys, np.cumsum([0] + [len(batches[k][0]) for k in keys])))
+    X = np.concatenate([batches[k][0] for k in keys])
+    Y = np.concatenate([batches[k][1] for k in keys])
+    pairs = pairing.term_pairs
+    idx_a = np.concatenate([starts[TERMS[term][0]] + a for term, (a, _) in pairs.items()])
+    idx_b = np.concatenate([starts[TERMS[term][1]] + b for term, (_, b) in pairs.items()])
+    return (tuple(pairs), *mix_batches((X[idx_a], Y[idx_a]), (X[idx_b], Y[idx_b]), pairing.lam))
 
 
 def composite_loss_and_grad(
     params: ClassifierParams,
-    term_batches: dict,
+    mixed: tuple,
     alpha: float,
     w_neg: float = 0.1,
+    ws: Workspace | None = None,
 ):
-    """Total loss, gradient, and per-term components for one iteration.
+    """Total loss, gradient, and per-term components for one iteration, in
+    one ``grad_batch`` over ``apply_pairing``'s (terms, X, Y) and ``ws``.
 
     total = sum(within terms) + alpha * sum(cross terms); every term is
     the mean batch loss on its mixed batch (soft cross-entropy for the
     softmax head, down-weighted BCE for the sigmoid head).
     """
+    terms, X, Y = mixed
+    ws = Workspace(params, len(X) // len(terms), len(terms)) if ws is None else ws
+    losses, grads = grad_batch(params, X, Y, w_neg, ws)
     grad = np.zeros_like(params.flat)
     total = 0.0
     components = {}
-    for term, (Xm, Ym) in term_batches.items():
-        loss, g = grad_batch(params, Xm, Ym, w_neg)
+    for term, loss, g in zip(terms, losses, grads):
         set_a, set_b = TERMS[term]
         weight = 1.0 if set_a == set_b else alpha
-        components[term] = loss
-        total += weight * loss
+        components[term] = float(loss)
+        total += weight * components[term]
         grad += weight * g
     return total, grad, components
 
@@ -342,6 +349,7 @@ def run_strategy(
     cfg = spec.mixup
     log: list[dict] = []
     for phase, iterations, draws, terms in phases:
+        ws = Workspace(params, cfg.batch_size, len(terms) or 1)
         for it in range(iterations):
             batches = {}
             for key, draw in draws.items():
@@ -351,12 +359,12 @@ def run_strategy(
             if terms:
                 pairing = draw_pairing(rng, terms, cfg.batch_size, cfg)
                 alpha = ramp_alpha(it, cfg)
-                term_batches = apply_pairing(batches, pairing)
-                loss, grad, comps = composite_loss_and_grad(params, term_batches, alpha, spec.w_neg)
+                mixed = apply_pairing(batches, pairing)
+                loss, grad, comps = composite_loss_and_grad(params, mixed, alpha, spec.w_neg, ws)
             else:
                 ((X, Y),) = batches.values()
-                loss, grad = grad_batch(params, X, Y, spec.w_neg)
-                alpha, comps = 0.0, {}
+                (loss,), (grad,) = grad_batch(params, X, Y, spec.w_neg, ws)
+                loss, alpha, comps = float(loss), 0.0, {}
             _abort_if_not_finite(loss, grad, it, log)
             adam_step(params, adam, grad)
             log.append({"iter": it, "phase": phase, "alpha": alpha, "loss": loss, **comps})

@@ -201,8 +201,8 @@ def test_criterion_2_gradient_suite():
         params = init_params(4, (5,), 3, seed=trial)
         X = rng.normal(size=(4, 4))
         T = rng.dirichlet(np.ones(3), size=4)
-        _, grads = grad_batch(params, X, T)
-        worst = max(worst, max_rel_err(grads, finite_difference(params, lambda: grad_batch(params, X, T)[0])))
+        _, (grads,) = grad_batch(params, X, T)
+        worst = max(worst, max_rel_err(grads, finite_difference(params, lambda: grad_batch(params, X, T)[0][0])))
     checks.append((f"soft-CE rel err {worst:.2e}", worst < 1e-4))
 
     worst = 0.0
@@ -210,10 +210,10 @@ def test_criterion_2_gradient_suite():
         params = init_params(4, (5,), 6, head="sigmoid", seed=trial)
         X = rng.normal(size=(3, 4))
         Y = (rng.random((3, 6)) < 0.4).astype(float)
-        _, grads = grad_batch(params, X, Y, 0.1)
+        _, (grads,) = grad_batch(params, X, Y, 0.1)
         worst = max(
             worst,
-            max_rel_err(grads, finite_difference(params, lambda: grad_batch(params, X, Y, 0.1)[0])),
+            max_rel_err(grads, finite_difference(params, lambda: grad_batch(params, X, Y, 0.1)[0][0])),
         )
     checks.append((f"multilabel BCE rel err {worst:.2e}", worst < 1e-4))
 

@@ -702,6 +702,7 @@ class TestConfigChecks:
         case("sweep", "workers", 0),
         case("sweep", "workers", "2"),
         case("sweep", "seeds", []),
+        case("gen", "corpus.n_eval", -5),
         case("split", "split_seed", -1),
         case("split", "split_seed", True),
         case("sweep", "histogram_bins", 0),
@@ -744,6 +745,7 @@ class TestConfigChecks:
         (line,) = error_lines(capsys)
         assert f"{named} " in line["error"] or f"{named}'" in line["error"], line
         assert sorted(tmp.rglob("*")) == before  # no checkpoint, split or report
+        return line["error"]
 
     @pytest.mark.parametrize("command, key, value, named", TYPE_GAPS)
     def test_type_gap(self, prepared, capsys, command, key, value, named):
@@ -752,6 +754,17 @@ class TestConfigChecks:
     @pytest.mark.parametrize("command, key, value, named", RANGE_GAPS)
     def test_range_gap(self, prepared, capsys, command, key, value, named):
         self.rejected(prepared, capsys, command, key, value, named)
+
+    @pytest.mark.parametrize("command, key, value, error", [
+        ("sweep", "strategy.iterations_main", 0, "StrategyError: strategy.iterations_main must be positive"),
+        ("sweep", "strategy.mixup.batch_size", 0, "StrategyError: strategy.mixup.batch_size must be >= 1"),
+        ("split", "plan.n_single", -1, "CorpusError: plan.n_single must be >= 0"),
+        ("gen", "corpus.synthetic.feature_noise_sigma", -0.5,
+         "CorpusError: corpus.synthetic.feature_noise_sigma must be >= 0"),
+    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic"])
+    def test_range_error_names_its_dotted_key(self, prepared, capsys, command, key, value, error):
+        # the section's own check raises it; the loader prefixes the section's dotted name
+        assert self.rejected(prepared, capsys, command, key, value, key) == error
 
     def test_int_passes_for_a_float_and_is_converted(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path, calibration={"method": "temp_scaling", "scalar": 2}))

@@ -115,7 +115,7 @@ class TestGradBatch:
         params = zero_net(4, (8,), 3)
         x = np.array([0.3, -0.2, 0.5, 1.0])
         target = forward_softmax(params, x)  # uniform
-        _, grads = grad_batch(params, x[None, :], target[None, :])
+        _, (grads,) = grad_batch(params, x[None, :], target[None, :])
         # pred == target makes the output-layer residual vanish
         assert np.allclose(grads[-1], 0.0, atol=1e-15)
         for g in grads:
@@ -128,8 +128,8 @@ class TestGradBatch:
             params = init_params(4, (5,), 3, seed=trial)
             X = rng.normal(size=(4, 4))
             T = rng.dirichlet(np.ones(3), size=4)
-            loss, grads = grad_batch(params, X, T)
-            numeric = finite_difference(params, lambda: grad_batch(params, X, T)[0])
+            _, (grads,) = grad_batch(params, X, T)
+            numeric = finite_difference(params, lambda: grad_batch(params, X, T)[0][0])
             worst = max(worst, max_rel_err(grads, numeric))
         assert worst < 1e-4
 
@@ -137,10 +137,9 @@ class TestGradBatch:
         params = init_params(3, (6,), 3, seed=2)
         x = np.array([0.1, 0.9, -0.4])
         t = np.array([0.2, 0.5, 0.3])
-        _, g1 = grad_batch(params, x[None, :], t[None, :])
-        _, gn = grad_batch(params, np.tile(x, (7, 1)), np.tile(t, (7, 1)))
-        for a, b in zip(g1, gn):
-            assert np.allclose(a, b, atol=1e-12)
+        _, (g1,) = grad_batch(params, x[None, :], t[None, :])
+        _, (gn,) = grad_batch(params, np.tile(x, (7, 1)), np.tile(t, (7, 1)))
+        assert np.allclose(g1, gn, atol=1e-12)
 
     def test_empty_batch_raises(self):
         params = init_params(3, (6,), 3, seed=2)
@@ -183,6 +182,25 @@ class TestAdam:
             adam_step(params, state, np.concatenate([g.ravel(), gb, g.ravel(), gb]))
         assert np.array_equal(params.weights[0], params.weights[1])
         assert np.array_equal(params.biases[0], params.biases[1])
+
+    def test_in_place_update_matches_the_expression_bit_for_bit(self):
+        # reference: the update as plain array expressions, one temporary per operation
+        rng = np.random.default_rng(8)
+        params = init_params(5, (7, 4), 3, seed=3)
+        state = init_adam(params, lr=1e-2)
+        flat, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        for t in range(1, 40):
+            grad = rng.normal(size=flat.shape) * 10.0 ** rng.integers(-9, 3, size=flat.shape)
+            adam_step(params, state, grad)
+            m *= 0.9
+            m += (1.0 - 0.9) * grad
+            v *= 0.999
+            v += (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            flat -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert np.array_equal(params.flat, flat)
 
 
 class TestMultilabelHead:
@@ -246,8 +264,8 @@ class TestMultilabelHead:
             params = init_params(4, (5,), 6, head="sigmoid", seed=trial)
             X = rng.normal(size=(3, 4))
             Y = (rng.random((3, 6)) < 0.4).astype(float)
-            loss, grads = grad_batch(params, X, Y, w_neg=0.1)
-            numeric = finite_difference(params, lambda: grad_batch(params, X, Y, 0.1)[0])
+            _, (grads,) = grad_batch(params, X, Y, w_neg=0.1)
+            numeric = finite_difference(params, lambda: grad_batch(params, X, Y, 0.1)[0][0])
             worst = max(worst, max_rel_err(grads, numeric))
         assert worst < 1e-4
 
@@ -322,7 +340,7 @@ class TestOptimizerSanity:
         state = init_adam(params, lr=1e-2)
         loss = np.inf
         for step in range(2000):
-            loss, grads = grad_batch(params, X, T)
+            (loss,), (grads,) = grad_batch(params, X, T)
             if loss < 0.05:
                 break
             adam_step(params, state, grads)

@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbudget.corpus import Corpus, CorpusSplit, LabelVocab
 from mixbudget.model import (
+    HEADS,
     ClassifierParams,
     batch_soft_cross_entropy,
     forward_scores,
     forward_softmax,
+    grad_batch,
     init_params,
 )
 from mixbudget import strategies
 from mixbudget.strategies import (
+    TERMS,
     MixPairing,
     MixupConfig,
     StrategyError,
@@ -330,6 +335,45 @@ class TestCompositeGradient:
             _, grads, _ = composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)
             worst = max(worst, max_rel_err(grads, finite_difference(params, loss_fn)))
         assert worst < 1e-4
+
+
+class TestStackedStep:
+    """One grad_batch over every term's stacked rows gives, bit for bit, what
+    one grad_batch per term summed in canonical term order gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(head=st.sampled_from(sorted(HEADS)), hidden=st.lists(st.integers(1, 9), max_size=3),
+           terms=st.lists(st.sampled_from(list(TERMS)), min_size=1, max_size=5, unique=True),
+           B=st.integers(1, 64), lam=st.floats(0.0, 1.0), alpha=st.floats(0.0, 4.0),
+           seed=st.integers(0, 2**16))
+    def test_matches_the_per_term_loop(self, head, hidden, terms, B, lam, alpha, seed):
+        rng = np.random.default_rng(seed)
+        d, k = 5, 4
+        params = init_params(d, tuple(hidden), k, head, seed)
+
+        def targets():
+            if head == "softmax":
+                return rng.dirichlet(np.ones(k), size=B)
+            return (rng.random((B, k)) < 0.4).astype(np.float64)
+
+        batches = {key: (rng.normal(size=(B, d)), targets()) for key in ("m", "s", "u")}
+        pairing = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B, MixupConfig())
+        pairing.lam = lam
+        total, grad, comps = composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)
+
+        ref_total, ref_grad, ref_comps = 0.0, np.zeros_like(params.flat), {}
+        for term, (idx_a, idx_b) in pairing.term_pairs.items():
+            set_a, set_b = TERMS[term]
+            (Xa, Ya), (Xb, Yb) = batches[set_a], batches[set_b]
+            Xm, Ym = mix_batches((Xa[idx_a], Ya[idx_a]), (Xb[idx_b], Yb[idx_b]), lam)
+            (loss,), (g,) = grad_batch(params, Xm, Ym)
+            weight = 1.0 if set_a == set_b else alpha
+            ref_comps[term] = float(loss)
+            ref_total += weight * float(loss)
+            ref_grad += weight * g
+        assert comps == ref_comps
+        assert total == ref_total
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestRunStrategy:

@@ -36,7 +36,7 @@ class CalibrationConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise CalibrationError(f"unknown calibration method {self.method!r}")
+            raise CalibrationError(f"method must be one of {', '.join(map(repr, METHODS))}, got {self.method!r}")
 
 
 def temp_scale(logits, T: float) -> np.ndarray:

@@ -12,22 +12,23 @@ config's output directory:
 
 Every command is deterministic given (config, seed) and writes no
 timestamps, so re-runs are byte-identical. Each command imports only the
-modules it runs (``gen``, ``split`` and ``report`` load no training code),
-and a sweep reads its inputs once for all seeds, before forking workers.
+modules it runs (``gen``, ``split`` and ``report`` load no training code,
+and ``report`` loads no numpy), and a sweep reads its inputs once for all
+seeds, before forking workers. Every process that trains runs OpenBLAS on
+one thread.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
-
-import numpy as np
 
 from .atomic import atomic_write
 
@@ -209,7 +210,7 @@ def build_calibration(cfg: Config, k: int) -> CalibrationConfig:
     scalar, entropy = calibration.scalar, calibration.target_entropy
     if scalar is not None and not (0 < scalar if calibration.method == "temp_scaling" else 0 <= scalar <= 1):
         raise ConfigError(f"calibration.scalar must be > 0 for temp_scaling, else in [0, 1]; got {scalar}")
-    if entropy is not None and not 0 <= entropy <= np.log(k):
+    if entropy is not None and not 0 <= entropy <= math.log(k):
         raise ConfigError(f"calibration.target_entropy must lie in [0, ln {k}], got {entropy}")
     return calibration
 
@@ -317,6 +318,7 @@ def cmd_train(cfg: Config, seed: int, inputs: _Inputs) -> dict:
     from .model import save_checkpoint
     from .strategies import run_strategy
 
+    _one_blas_thread()
     params, log = run_strategy(build_strategy(cfg, seed), inputs.split, inputs.vocab)
     inputs.trained[seed] = params
     out = run_dir(cfg, seed)
@@ -345,6 +347,8 @@ def cmd_eval(cfg: Config, seed: int, inputs: _Inputs) -> dict:
 
 
 def cmd_calibrate(cfg: Config, seed: int, inputs: _Inputs) -> dict:
+    import numpy as np
+
     from . import calibrate as cal
     from .metrics import entropy_rows, evaluate_distribution, gold_rows, write_report
     from .model import forward_logits, forward_scores, softmax
@@ -376,6 +380,7 @@ def cmd_calibrate(cfg: Config, seed: int, inputs: _Inputs) -> dict:
         onehots = np.eye(vocab.size)[:1]  # all one-hot rows smooth identically
         tuned = tune(onehots)
         spec = replace(build_strategy(cfg, seed), train_smooth_mass=tuned.scalar)
+        _one_blas_thread()
         params, _ = run_strategy(spec, inputs.split, vocab)
         preds = forward_scores(params, examples.X)
 
@@ -407,18 +412,21 @@ def _sweep_worker(cfg: Config, seed: int) -> None:
     _run_seed(cfg, seed, _sweep_inputs)
 
 
+def _init_sweep_worker(inputs: _Inputs) -> None:
+    """Sweep-worker initializer: keep the parent's inputs."""
+    global _sweep_inputs
+    _sweep_inputs = inputs
+
+
 # names of the OpenBLAS thread-count setter across its builds
 BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                     "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _init_sweep_worker(inputs: _Inputs) -> None:
-    """Sweep-worker initializer: keep the parent's inputs, and run OpenBLAS (if
-    loaded) on one thread, so that parallel workers do not oversubscribe the CPUs."""
+def _one_blas_thread() -> None:
+    """Run OpenBLAS, if loaded, on one thread. Training's matmuls are small: on default threads, parallel sweep
+    workers oversubscribe the CPUs, and a cold process's first steps can stall; one thread writes the same bytes."""
     import ctypes
-
-    global _sweep_inputs
-    _sweep_inputs = inputs
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
@@ -444,9 +452,10 @@ def summarize_seeds(summaries: list[dict], seeds: list[int]) -> dict:
         if missing and any(isinstance(v, (int, float)) for v in values):
             raise ConfigError(f"metric {key!r} is missing from the report of seed {missing[0]}")
         if all(isinstance(v, (int, float)) for v in values):
-            arr = np.asarray(values, dtype=np.float64)
-            std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
-            metrics[key] = {"mean": float(np.mean(arr)), "stddev": std}
+            # math, not statistics, whose decimal and fractions imports would add 0.4 MB to every command
+            mean = math.fsum(values) / len(values)
+            var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1) if len(values) > 1 else 0.0
+            metrics[key] = {"mean": mean, "stddev": math.sqrt(var)}
     return {"seeds": list(seeds), "metrics": metrics}
 
 
@@ -468,9 +477,19 @@ def cmd_sweep(cfg: Config) -> dict:
     return cmd_report(cfg)
 
 
-def cmd_report(cfg: Config) -> dict:
-    from .metrics import read_report_summary
+def read_report_summary(path) -> dict:
+    """The summary object on the first line of a report file, whose format ``metrics.write_report`` writes."""
+    with open(path, "rb") as f:
+        try:
+            summary = json.loads(f.readline().decode("utf-8"))
+        except ValueError:  # a UnicodeDecodeError too
+            summary = None
+    if type(summary) is not dict:
+        raise ConfigError(f"{path}: the first line is not a report summary object")
+    return summary
 
+
+def cmd_report(cfg: Config) -> dict:
     summaries = []
     for seed in cfg.seeds:
         path = run_dir(cfg, seed) / "report.jsonl"

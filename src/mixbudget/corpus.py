@@ -199,11 +199,12 @@ class BudgetPlan:
                 raise CorpusError(f"{name} must be >= 0")
         if self.n_single * 1 + self.n_multi * self.k_per_multi != self.total_labels:
             raise CorpusError(
-                f"plan does not balance: {self.n_single} * 1 + {self.n_multi} * "
+                f"total_labels does not balance: {self.n_single} * 1 + {self.n_multi} * "
                 f"{self.k_per_multi} != {self.total_labels}"
             )
         if self.selection_strategy not in SELECTION_STRATEGIES:
-            raise CorpusError(f"unknown selection strategy {self.selection_strategy!r}")
+            raise CorpusError(f"selection_strategy must be one of {', '.join(map(repr, SELECTION_STRATEGIES))}, "
+                              f"got {self.selection_strategy!r}")
 
 
 @dataclass
@@ -239,14 +240,17 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_examples <= 0 or self.k_classes <= 1:
-            raise CorpusError("need n_examples > 0 and k_classes > 1")
+        if self.n_examples <= 0:
+            raise CorpusError("n_examples must be > 0")
+        if self.k_classes <= 1:
+            raise CorpusError("k_classes must be > 1")
         if self.d_feat < self.k_classes:
             raise CorpusError("d_feat must be >= k_classes (one prototype per class)")
         if not 0.0 <= self.ambiguous_fraction <= 1.0:
             raise CorpusError("ambiguous_fraction must lie in [0, 1]")
-        if self.dirichlet_sharp <= 0 or self.dirichlet_flat <= 0:
-            raise CorpusError("dirichlet concentrations must be positive")
+        for name in ("dirichlet_sharp", "dirichlet_flat"):
+            if getattr(self, name) <= 0:
+                raise CorpusError(f"{name} must be positive")
         if self.feature_noise_sigma < 0:
             raise CorpusError("feature_noise_sigma must be >= 0")
 

@@ -88,7 +88,8 @@ def entropy_histogram(dists, k_classes: int, n_bins: int = 20) -> np.ndarray:
 
 def _hits(P: np.ndarray, examples) -> tuple[np.ndarray, np.ndarray]:
     """Per row, whether the argmax prediction is the old label and the
-    counter's majority (first max); names the first row lacking either."""
+    counter's majority (each argmax the first max, so ties go to the lowest
+    vocab index); names the first row lacking either."""
     n = len(examples)
     old = examples.old_label if examples.old_label is not None else np.full(n, -1)
     counter = examples.counter if examples.counter is not None else np.zeros((n, 1))
@@ -99,17 +100,6 @@ def _hits(P: np.ndarray, examples) -> tuple[np.ndarray, np.ndarray]:
                            f"{'old_label' if old[i] < 0 else 'label_counter'}")
     pred = P.argmax(axis=1)
     return pred == old, pred == counter.argmax(axis=1)
-
-
-def accuracy_old_new(pred_dists, examples) -> tuple[float, float]:
-    """Argmax accuracy against the few-annotator majority label (old) and
-    the majority of the dense annotation counter (new). Ties in either
-    argmax go to the lowest vocab index."""
-    P = np.atleast_2d(np.asarray(pred_dists, dtype=np.float64))
-    if len(P) != len(examples):
-        raise MetricsError("predictions and examples differ in length")
-    old_hits, new_hits = _hits(P, examples)
-    return float(np.mean(old_hits)), float(np.mean(new_hits))
 
 
 def macro_prf(precision: np.ndarray, recall: np.ndarray) -> tuple[float, float, float]:
@@ -254,17 +244,6 @@ def write_report(report: EvalReport, path) -> None:
         f.write(json.dumps(report.summary(), sort_keys=True) + "\n")
         for rec in report.per_example:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_report_summary(path) -> dict:
-    with open(path, "rb") as f:
-        try:
-            summary = json.loads(f.readline().decode("utf-8"))
-        except ValueError:  # a UnicodeDecodeError too
-            summary = None
-    if type(summary) is not dict:
-        raise MetricsError(f"{path}: the first line is not a report summary object")
-    return summary
 
 
 def write_histogram_csv(report: EvalReport, path) -> None:

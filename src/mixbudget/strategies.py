@@ -58,7 +58,6 @@ STRATEGIES = {
     "mixup_smu": [(1, "iterations_main", ("m", "s", "u"),
                    ("L_ss", "L_mm", "L_sm", "L_su", "L_mu"))],
 }
-STRATEGY_KINDS = tuple(STRATEGIES)
 
 
 class StrategyError(ValueError):
@@ -95,21 +94,18 @@ class StrategySpec:
     head: str = "softmax"
     target_mode: str = "distribution"  # "distribution" or "prediction"
     w_neg: float = 0.1
-    input_dropout: float = 0.0
     train_smooth_mass: float = 0.0  # label smoothing applied to one-hot single targets
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise StrategyError(f"unknown strategy kind {self.kind!r}")
+        if self.kind not in STRATEGIES:
+            raise StrategyError(f"kind must be one of {', '.join(map(repr, STRATEGIES))}, got {self.kind!r}")
         if self.iterations_main <= 0:
             raise StrategyError("iterations_main must be positive")
         if self.iterations_finetune < 0:
             raise StrategyError("iterations_finetune must be >= 0")
         if self.target_mode not in ("distribution", "prediction"):
-            raise StrategyError(f"unknown target mode {self.target_mode!r}")
-        if not 0.0 <= self.input_dropout < 1.0:
-            raise StrategyError("input_dropout must lie in [0, 1)")
+            raise StrategyError(f"target_mode must be 'distribution' or 'prediction', got {self.target_mode!r}")
         if not 0.0 <= self.train_smooth_mass <= 1.0:
             raise StrategyError("train_smooth_mass must lie in [0, 1]")
         if self.head == "sigmoid" and (self.target_mode == "prediction" or self.train_smooth_mass > 0):
@@ -127,11 +123,6 @@ class TrainLog:
         with atomic_write(path) as f:
             for e in self.entries:
                 f.write(json.dumps(e, sort_keys=True) + "\n")
-
-    @staticmethod
-    def read(path) -> "TrainLog":
-        with open(path, encoding="utf-8") as f:
-            return TrainLog([json.loads(line) for line in f if line.strip()])
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +303,6 @@ def _draws(data: dict, sampler, kind: str) -> dict:
     return {key: _rows(data["u"]) if key == "u" else _rows(*data[key]) for key in keys}
 
 
-def _maybe_input_dropout(rng, X, p):
-    if p <= 0:
-        return X
-    mask = rng.random(X.shape) >= p
-    return X * mask / (1.0 - p)
-
-
 def _abort_if_not_finite(loss, grad, it, log):
     # checked before the update, so a bad step is never applied
     if not (np.isfinite(loss) and np.isfinite(grad).all()):
@@ -332,8 +316,8 @@ def run_strategy(
     """Train a classifier on ``split`` under ``spec``; deterministic given
     ``spec.seed``. Runs the phases of ``STRATEGIES[spec.kind]`` in order,
     skipping phases with zero iterations. Each iteration draws one batch
-    per sampler key (input dropout applied, unlabeled rows pseudo-labeled),
-    then, for a mixup phase, lambda and the pairings."""
+    per sampler key (unlabeled rows pseudo-labeled), then, for a mixup
+    phase, lambda and the pairings."""
     data = make_targets(split, vocab, spec)
     sets_present = [k for k in ("s", "m") if data[k] is not None]
     if not sets_present:
@@ -354,7 +338,6 @@ def run_strategy(
             batches = {}
             for key, draw in draws.items():
                 X, Y = draw(rng, cfg.batch_size)
-                X = _maybe_input_dropout(rng, X, spec.input_dropout)
                 batches[key] = (X, pseudo_label(params, X) if Y is None else Y)
             if terms:
                 pairing = draw_pairing(rng, terms, cfg.batch_size, cfg)

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbudget import cli, corpus
+from mixbudget.cli import read_report_summary
 from mixbudget.corpus import Corpus, LabelVocab, load_corpus, save_corpus
-from mixbudget.metrics import gold_rows, kl_rows, read_report_summary
+from mixbudget.metrics import gold_rows, kl_rows
 from mixbudget.model import init_params, save_checkpoint
 
 VOCAB = LabelVocab(("E", "N", "C"))
@@ -336,6 +339,13 @@ class TestSweep:
         assert run_cli("report", "--config", str(path)) == 0
         assert summary_path.read_bytes() == before
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+    def test_summary_is_the_numpy_mean_and_sample_stddev(self, values):
+        got = cli.summarize_seeds([{"kl": v} for v in values], list(range(len(values))))["metrics"]["kl"]
+        tol = 1e-12 * max(1.0, max(map(abs, values)))
+        assert abs(got["mean"] - np.mean(values)) <= tol
+        assert abs(got["stddev"] - (np.std(values, ddof=1) if len(values) > 1 else 0.0)) <= tol
 
     @pytest.mark.parametrize("summaries", [
         [{"kl": 0.1}, {"kl": 0.2, "jsd": 0.05}],
@@ -414,16 +424,39 @@ class TestTypingTask:
 class TestImports:
     """Each command loads only the modules it runs, seen from a cold process."""
 
-    def modules_after(self, tmp_path, command, config) -> set:
+    # sets out to the thread count of the loaded OpenBLAS, or None without one
+    BLAS_THREADS = """
+import ctypes
+out = None
+try:
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        libs = sorted({line.split(None, 5)[5].strip() for line in f if "openblas" in line.lower()})
+except OSError:
+    libs = []
+for lib in libs:
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(ctypes.CDLL(lib), symbol, None)
+        if getter is not None and out is None:
+            getter.restype = ctypes.c_int
+            out = getter()
+"""
+
+    def run_cold(self, tmp_path, command, config, probe):
+        """Run ``command`` on ``config`` in a fresh interpreter, then ``probe``, which sets ``out``; returns ``out``."""
         script = ("import json, sys\n"
                   "from mixbudget import cli\n"
                   "assert cli.main([sys.argv[1], '--config', sys.argv[2]]) == 0\n"
-                  "print(json.dumps(sorted(sys.modules)))\n")
+                  f"{probe}\n"
+                  "print(json.dumps(out))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", script, command, str(config)], env=env,
                              cwd=tmp_path, capture_output=True, text=True, check=True).stdout
-        return set(json.loads(out.splitlines()[-1]))
+        return json.loads(out.splitlines()[-1])
+
+    def modules_after(self, tmp_path, command, config) -> set:
+        return set(self.run_cold(tmp_path, command, config, "out = sorted(sys.modules)"))
 
     def test_data_commands_load_no_training_code(self, tmp_path):
         cfg = base_config(tmp_path, seeds=[0, 1], workers=1)
@@ -435,9 +468,17 @@ class TestImports:
             assert "concurrent.futures" not in loaded, command
         assert run_cli("sweep", "--config", str(path)) == 0
         loaded = self.modules_after(tmp_path, "report", path)
-        assert {m for m in loaded if m.startswith("mixbudget")} == {
-            "mixbudget", "mixbudget.cli", "mixbudget.atomic", "mixbudget.metrics"}
-        assert "mixbudget.strategies" not in loaded
+        assert {m for m in loaded if m.startswith("mixbudget")} == {"mixbudget", "mixbudget.cli", "mixbudget.atomic"}
+        assert "numpy" not in loaded
+
+    def test_train_runs_openblas_on_one_thread(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path))
+        for command in ("gen", "split"):
+            assert run_cli(command, "--config", str(path)) == 0
+        threads = self.run_cold(tmp_path, "train", path, self.BLAS_THREADS)
+        if threads is None:
+            pytest.skip("numpy loads no OpenBLAS here")
+        assert threads == 1
 
 
 class TestConfigValidation:
@@ -459,14 +500,15 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         assert run_cli("gen", "--config", str(path)) == 0
         assert run_cli("split", "--config", str(path)) == 0
-        for command, section in (("split", "plan"), ("train", "strategy"),
-                                 ("train", "strategy.mixup")):
+        for command, section, key in (("split", "plan", "bogus"), ("train", "strategy", "bogus"),
+                                      ("train", "strategy.mixup", "bogus"),
+                                      ("train", "strategy", "input_dropout")):
             bad = json.loads(json.dumps(cfg))
             target = bad["strategy"]["mixup"] if section == "strategy.mixup" else bad[section]
-            target["bogus"] = 1
+            target[key] = 0.0
             assert run_cli(command, "--config", str(write_config(tmp_path, bad, "bad.json"))) == 1
             err = capsys.readouterr().err.strip().splitlines()[-1]
-            assert json.loads(err)["error"] == f"ConfigError: unknown {section} key 'bogus'"
+            assert json.loads(err)["error"] == f"ConfigError: unknown {section} key {key!r}"
 
     def test_unknown_top_level_key_fails_naming_it(self, tmp_path, capsys):
         # a misspelt key would otherwise be ignored, yet move the run directory
@@ -602,7 +644,7 @@ class TestCorruptArtifacts:
         report.write_text("")
         assert run_cli("report", "--config", str(path)) == 1
         assert error_lines(capsys) == [
-            {"error": f"MetricsError: {report}: the first line is not a report summary object"}]
+            {"error": f"ConfigError: {report}: the first line is not a report summary object"}]
 
     def test_config_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -733,7 +775,7 @@ class TestConfigChecks:
         *parents, last = key.split(".")
         section = bad
         for part in parents:
-            section = section[part]
+            section = section.setdefault(part, {})
         if value is MISSING:
             del section[last]
         else:
@@ -761,7 +803,23 @@ class TestConfigChecks:
         ("split", "plan.n_single", -1, "CorpusError: plan.n_single must be >= 0"),
         ("gen", "corpus.synthetic.feature_noise_sigma", -0.5,
          "CorpusError: corpus.synthetic.feature_noise_sigma must be >= 0"),
-    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic"])
+        ("sweep", "strategy.kind", "mixup_x",
+         "StrategyError: strategy.kind must be one of 'ce_combined', 'ce_upsampling', 'ce_curriculum', 'mixup_s', "
+         "'mixup_sm', 'mixup_su', 'mixup_su_then_m', 'mixup_smu', got 'mixup_x'"),
+        ("sweep", "strategy.target_mode", "argmax",
+         "StrategyError: strategy.target_mode must be 'distribution' or 'prediction', got 'argmax'"),
+        ("sweep", "calibration.method", "platt", "CalibrationError: calibration.method must be one of "
+         "'temp_scaling', 'pred_smoothing', 'train_smoothing', got 'platt'"),
+        ("split", "plan.total_labels", 99, "CorpusError: plan.total_labels does not balance: 60 * 1 + 4 * 10 != 99"),
+        ("split", "plan.selection_strategy", "best", "CorpusError: plan.selection_strategy must be one of "
+         "'random', 'low_entropy', 'high_entropy', got 'best'"),
+        ("gen", "corpus.synthetic.n_examples", 0, "CorpusError: corpus.synthetic.n_examples must be > 0"),
+        ("gen", "corpus.synthetic.k_classes", 1, "CorpusError: corpus.synthetic.k_classes must be > 1"),
+        ("gen", "corpus.synthetic.dirichlet_flat", -1.0,
+         "CorpusError: corpus.synthetic.dirichlet_flat must be positive"),
+    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic", "strategy.kind", "strategy.target_mode",
+            "calibration.method", "plan.total_labels", "plan.selection_strategy", "corpus.synthetic.n_examples",
+            "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat"])
     def test_range_error_names_its_dotted_key(self, prepared, capsys, command, key, value, error):
         # the section's own check raises it; the loader prefixes the section's dotted name
         assert self.rejected(prepared, capsys, command, key, value, key) == error

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from mixbudget.calibrate import temp_scale
+from mixbudget.cli import read_report_summary
 from mixbudget.corpus import Corpus
 from mixbudget.metrics import (
     MetricsError,
-    accuracy_old_new,
     entropy_histogram,
     entropy_rows,
     evaluate_distribution,
@@ -21,7 +21,6 @@ from mixbudget.metrics import (
     jsd_rows,
     kl_rows,
     mrr,
-    read_report_summary,
     write_histogram_csv,
     write_report,
 )
@@ -37,6 +36,12 @@ def jsd(p, q):
 
 def entropy(p):
     return float(entropy_rows([p])[0])
+
+
+def accuracies(preds, examples):
+    """acc_old and acc_new as the distribution report gives them."""
+    report = evaluate_distribution(preds, examples, 3)
+    return report.acc_old, report.acc_new
 
 
 def eval_example(uid, pred_dim=3, old_label=0, counter=None, true_dist=None):
@@ -204,7 +209,7 @@ class TestAccuracyOldNew:
     def test_disagreeing_references_count_separately(self):
         # prediction argmax N, old label E, dense counter majority N
         ex = eval_example("a", old_label=0, counter={1: 93, 0: 7})
-        acc_old, acc_new = accuracy_old_new([[0.1, 0.8, 0.1]], eval_corpus([ex]))
+        acc_old, acc_new = accuracies([[0.1, 0.8, 0.1]], eval_corpus([ex]))
         assert (acc_old, acc_new) == (0.0, 1.0)
 
     def test_perfect_predictions(self):
@@ -213,7 +218,7 @@ class TestAccuracyOldNew:
             eval_example("b", old_label=0, counter={0: 90, 2: 10}),
         ]
         preds = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
-        assert accuracy_old_new(preds, eval_corpus(exs)) == (1.0, 1.0)
+        assert accuracies(preds, eval_corpus(exs)) == (1.0, 1.0)
 
     def test_uniform_predictions_tie_to_first_label(self):
         old_labels = [0, 1, 2, 0, 1]
@@ -223,14 +228,14 @@ class TestAccuracyOldNew:
             for i, (o, m) in enumerate(zip(old_labels, majorities))
         ]
         preds = [[1 / 3] * 3] * 5  # argmax tie -> label 0
-        acc_old, acc_new = accuracy_old_new(preds, eval_corpus(exs))
+        acc_old, acc_new = accuracies(preds, eval_corpus(exs))
         assert acc_old == pytest.approx(2 / 5)   # old labels 0 at positions 0, 3
         assert acc_new == pytest.approx(3 / 5)   # majorities 0 at positions 0, 1, 4
 
     def test_missing_gold_fields_name_uid(self):
         ex = bare_example("nolabels")
         with pytest.raises(MetricsError, match="nolabels"):
-            accuracy_old_new([[1.0, 0.0, 0.0]], eval_corpus([ex]))
+            accuracies([[1.0, 0.0, 0.0]], eval_corpus([ex]))
 
 
 class TestMacroPRF:
@@ -417,6 +422,6 @@ class TestTemperatureInvariance:
             for i in range(30)
         ]
         exs = eval_corpus(exs)
-        base = accuracy_old_new(temp_scale(logits, 1.0), exs)
+        base = accuracies(temp_scale(logits, 1.0), exs)
         for T in (0.01, 0.5, 3.0, 100.0):
-            assert accuracy_old_new(temp_scale(logits, T), exs) == base
+            assert accuracies(temp_scale(logits, T), exs) == base

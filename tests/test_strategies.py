@@ -1,6 +1,7 @@
 """Strategy tests: targets, interpolation, the ramp, pseudo labels, and
 the training loops."""
 
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from mixbudget.strategies import (
     MixupConfig,
     StrategyError,
     StrategySpec,
-    TrainLog,
     apply_pairing,
     composite_loss_and_grad,
     draw_pairing,
@@ -463,7 +463,7 @@ class TestRunStrategy:
         _, log = run_strategy(spec_for("mixup_sm"), split, VOCAB)
         path = tmp_path / "log.jsonl"
         log.write(path)
-        assert TrainLog.read(path).entries == log.entries
+        assert [json.loads(line) for line in path.read_text().splitlines()] == log.entries
 
     def test_non_finite_step_is_never_applied(self, monkeypatch):
         split = toy_split(n_s=1, nan_feature=True)
@@ -472,12 +472,3 @@ class TestRunStrategy:
         with pytest.raises(StrategyError, match="non-finite"):
             run_strategy(spec_for("ce_curriculum"), split, VOCAB)
         assert calls == []
-
-    def test_input_dropout_changes_trajectory(self):
-        split = toy_split()
-        plain, _ = run_strategy(spec_for("ce_combined"), split, VOCAB)
-        dropped, log = run_strategy(
-            spec_for("ce_combined", input_dropout=0.5), split, VOCAB
-        )
-        assert not np.array_equal(plain.weights[0], dropped.weights[0])
-        assert all(np.isfinite(e["loss"]) for e in log.entries)

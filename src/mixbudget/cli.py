@@ -87,17 +87,15 @@ class Config:
     seeds: list[int] = field(default_factory=lambda: [0], metadata=UNHASHED)
     workers: int | None = field(default=None, metadata=UNHASHED)  # None: one per seed
     eval_path: str | None = field(default=None, metadata=UNHASHED)  # an out-of-domain eval corpus
-    histogram_bins: int = field(default=20, metadata=UNHASHED)
     gold_source: Literal["counter", "true_dist"] = field(default="counter", metadata=UNHASHED)
-    kl_direction: Literal["human_model", "model_human"] = field(default="human_model", metadata=UNHASHED)
     threshold: float = field(default=0.5, metadata=UNHASHED)
 
     def __post_init__(self):
         for key, ok, rule in (("seeds", len({*self.seeds}) == len(self.seeds), "a list of distinct integers"),
                               ("seeds", self.seeds, "non-empty"),
+                              ("seeds", all(seed >= 0 for seed in self.seeds), "integers >= 0"),
                               ("workers", self.workers is None or self.workers >= 1, ">= 1"),
                               ("split_seed", self.split_seed >= 0, ">= 0"),
-                              ("histogram_bins", self.histogram_bins >= 1, ">= 1"),
                               ("threshold", 0 < self.threshold < 1, "in (0, 1)")):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -124,6 +122,8 @@ def _typed_value(tp, value, key: str):
     (types, name), origin = _json_types(tp), get_origin(tp)
     if type(value) not in types or origin is Literal and value not in get_args(tp):
         raise ConfigError(f"{key} must be {name}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):  # json reads NaN and Infinity, which pass range checks
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     if origin is UnionType:  # the one arm that takes the value's JSON type
         return _typed_value(next(a for a in get_args(tp) if type(value) in _json_types(a)[0]), value, key)
     if is_dataclass(tp):
@@ -197,7 +197,7 @@ def build_strategy(cfg: Config, seed: int) -> StrategySpec:
     if unread := sorted({"seed", "head"} & set(cfg.strategy or ())):
         raise ConfigError(f"strategy key {unread[0]!r} is not read: seeds/--seed set the seed, task the head")
     spec = typed(StrategySpec, cfg.strategy, "strategy", seed=seed,
-                 head="sigmoid" if cfg.task == "typing" else "softmax")
+                 head="sigmoid" if cfg.task == "typing" else "softmax", train_smooth_mass=0.0)
     return replace(spec, lr=1e-3) if cfg.task == "typing" and "lr" not in cfg.strategy else spec
 
 
@@ -261,7 +261,7 @@ def cmd_split(cfg: Config) -> dict:
     for name, part in vars(split).items():
         save_corpus(part, out / f"{name}.jsonl", vocab)
     manifest = split_manifest(plan, split)
-    manifest["files"] = {name: str(out / f"{name}.jsonl") for name in vars(split)}
+    manifest["files"] = {name: f"{name}.jsonl" for name in vars(split)}  # beside the manifest
     return _write_json(out / "manifest.json", manifest)
 
 
@@ -337,8 +337,7 @@ def cmd_eval(cfg: Config, seed: int, inputs: _Inputs) -> dict:
     scores = forward_scores(inputs.params(seed), examples.X)
     out = run_dir(cfg, seed)
     if cfg.task == "distribution":
-        report = evaluate_distribution(scores, examples, inputs.vocab.size, cfg.histogram_bins,
-                                       cfg.gold_source, cfg.kl_direction)
+        report = evaluate_distribution(scores, examples, inputs.vocab.size, cfg.gold_source)
         write_histogram_csv(report, out / "histogram.csv")
     else:
         report = evaluate_typing(scores, examples, threshold=cfg.threshold)
@@ -384,8 +383,7 @@ def cmd_calibrate(cfg: Config, seed: int, inputs: _Inputs) -> dict:
         params, _ = run_strategy(spec, inputs.split, vocab)
         preds = forward_scores(params, examples.X)
 
-    report = evaluate_distribution(preds, examples, vocab.size, cfg.histogram_bins,
-                                   cfg.gold_source, cfg.kl_direction)
+    report = evaluate_distribution(preds, examples, vocab.size, cfg.gold_source)
     report.calibration = {
         "method": calibration.method,
         "scalar": tuned.scalar,
@@ -530,9 +528,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg = replace(cfg, outdir=args.out)
+        if getattr(args, "seed", None) is not None:  # the one seed a command runs; checked as seeds is
+            cfg = replace(cfg, seeds=[args.seed])
         command = globals()[f"cmd_{args.command}"]
-        result = command(cfg) if "seed" not in args else command(
-            cfg, cfg.seeds[0] if args.seed is None else args.seed, _Inputs(cfg))
+        result = command(cfg) if "seed" not in args else command(cfg, cfg.seeds[0], _Inputs(cfg))
     except Exception as e:  # one machine-readable line per failure
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 1

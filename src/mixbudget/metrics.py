@@ -4,9 +4,8 @@ Conventions, since divergence log bases are easy to get wrong:
 
 * KL divergence and Shannon entropy are reported in nats.
 * Jensen-Shannon divergence uses log base 2, so it is bounded by 1.
-* KL defaults to KL(human || model): the human reference distribution is
-  the first argument. The direction is configurable in the report
-  assembler.
+* Reports give KL(human || model): the human reference distribution is
+  the first argument.
 """
 from __future__ import annotations
 
@@ -169,23 +168,20 @@ def evaluate_distribution(
     pred_dists,
     examples,
     k_classes: int,
-    n_bins: int = 20,
     gold_source: str = "counter",
-    kl_direction: str = "human_model",
 ) -> EvalReport:
     """Assemble the distribution-task report for an evaluation ``Corpus``.
-    Summary metrics are exact means of the per-example records.
+    Summary metrics are exact means of the per-example records; ``kl`` is
+    KL(gold || prediction).
     ``acc_old``/``acc_new`` (and the per-row ``correct_old``/``correct_new``)
     are omitted when no example carries ``old_label`` or ``label_counter``;
     if only some do, it raises."""
     P = np.atleast_2d(np.asarray(pred_dists, dtype=np.float64))
     if len(P) != len(examples):
         raise MetricsError("predictions and examples differ in length")
-    if kl_direction not in ("human_model", "model_human"):
-        raise MetricsError(f"unknown KL direction {kl_direction!r}")
 
     gold = gold_rows(examples, k_classes, gold_source)
-    kl = kl_rows(gold, P) if kl_direction == "human_model" else kl_rows(P, gold)
+    kl = kl_rows(gold, P)
     js = jsd_rows(gold, P)
     H = entropy_rows(P)
     per = [{"uid": uid, "pred": pred, "gold": g, "kl": a, "jsd": b, "pred_entropy": h}
@@ -202,8 +198,8 @@ def evaluate_distribution(
     return EvalReport(
         n_examples=len(examples), jsd=float(np.mean(js)), kl=float(np.mean(kl)),
         acc_old=acc_old, acc_new=acc_new, mean_pred_entropy=float(np.mean(H)),
-        entropy_histogram=entropy_histogram(P, k_classes, n_bins).tolist(),
-        entropy_bin_edges=entropy_bin_edges(k_classes, n_bins).tolist(), per_example=per)
+        entropy_histogram=entropy_histogram(P, k_classes).tolist(),
+        entropy_bin_edges=entropy_bin_edges(k_classes).tolist(), per_example=per)
 
 
 def _type_lists(M: np.ndarray) -> list[list[int]]:

@@ -17,6 +17,7 @@ import numpy as np
 from .atomic import atomic_write
 
 PRED_CLAMP = 1e-12  # floor for probabilities inside logs
+W_NEG = 0.1  # sigmoid head: loss weight of an unannotated type (partial annotations are weak evidence of absence)
 
 
 @dataclass
@@ -35,9 +36,12 @@ class ClassifierParams:
             raise ValueError(f"unknown head {self.head!r}")
         if len(self.weights) != len(self.biases):
             raise ValueError("weights/biases length mismatch")
-        for W, b in zip(self.weights, self.biases):
-            if W.shape[1] != b.shape[0]:
-                raise ValueError(f"bias shape {b.shape} does not match weight {W.shape}")
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if W.ndim != 2 or b.shape != W.shape[1:]:  # W's rank first, so W.shape[1:] is its width
+                raise ValueError(f"layer {i}: weight {W.shape} and bias {b.shape} are not (n_in, n_out) and (n_out,)")
+            if i and W.shape[0] != self.weights[i - 1].shape[1]:
+                raise ValueError(f"layer {i}: weight {W.shape} does not take layer {i - 1}'s width "
+                                 f"{self.weights[i - 1].shape[1]}")
         self.flat = np.concatenate([np.ravel(a) for a in self.arrays()], dtype=np.float64)
         views = self.views(self.flat)
         self.weights, self.biases = views[0::2], views[1::2]
@@ -153,21 +157,20 @@ def batch_soft_cross_entropy(P: np.ndarray, T: np.ndarray):
     return -np.mean(np.sum(T * np.log(P), axis=-1), axis=-1)
 
 
-def negative_weights(targets: np.ndarray, w_neg: float) -> np.ndarray:
+def negative_weights(targets: np.ndarray) -> np.ndarray:
     """Per-type loss weights for partially annotated multi-label targets:
-    1 at target 1, ``w_neg`` at target 0, linear in between for mixed
+    1 at target 1, ``W_NEG`` at target 0, linear in between for mixed
     (interpolated) targets."""
-    return w_neg + (1.0 - w_neg) * targets
+    return W_NEG + (1.0 - W_NEG) * targets
 
 
-def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray, w_neg: float = 0.1):
+def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray):
     """Mean over rows (per group of a stack), and over types within a row,
     of binary cross-entropy against multi-hot targets, negative terms
-    down-weighted by ``w_neg`` (annotations are partial, so an unannotated
-    type is only weak evidence of absence)."""
+    down-weighted by ``W_NEG``."""
     S = np.clip(np.asarray(S, dtype=np.float64), PRED_CLAMP, 1.0 - PRED_CLAMP)
     Y = np.asarray(Y, dtype=np.float64)
-    w = negative_weights(Y, w_neg)
+    w = negative_weights(Y)
     per_type = -(Y * np.log(S) + (1.0 - Y) * np.log(1.0 - S))
     return np.mean(np.sum(w * per_type, axis=-1) / S.shape[-1], axis=-1)
 
@@ -191,7 +194,7 @@ def threshold_types(S: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 @dataclass(frozen=True)
 class Head:
     """One output head. ``activate`` maps logits to scores; ``loss`` and
-    ``dlogits`` take (scores, targets, w_neg), stacked (groups, rows, k),
+    ``dlogits`` take (scores, targets), stacked (groups, rows, k),
     and give each group's mean loss and its gradient in the logits;
     ``sharpen`` maps a 2-D score batch to hard targets (pseudo labels)."""
 
@@ -204,15 +207,15 @@ class Head:
 HEADS = {
     "softmax": Head(
         activate=softmax,
-        loss=lambda P, T, w_neg: batch_soft_cross_entropy(P, T),
+        loss=batch_soft_cross_entropy,
         # d(mean CE)/dlogits for targets summing to 1
-        dlogits=lambda P, T, w_neg: (P - T) / P.shape[-2],
+        dlogits=lambda P, T: (P - T) / P.shape[-2],
         sharpen=lambda P: np.eye(P.shape[1])[np.argmax(P, axis=1)],
     ),
     "sigmoid": Head(
         activate=sigmoid,
         loss=batch_multilabel_bce,
-        dlogits=lambda S, Y, w_neg: negative_weights(Y, w_neg) * (S - Y) / (Y.shape[-1] * S.shape[-2]),
+        dlogits=lambda S, Y: negative_weights(Y) * (S - Y) / (Y.shape[-1] * S.shape[-2]),
         sharpen=threshold_types,
     ),
 }
@@ -252,10 +255,9 @@ def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ: np.ndarray, 
     return ws.grads
 
 
-def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1,
-               ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def grad_batch(params: ClassifierParams, X, T, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Losses and analytic gradients (in ``ws``, laid out like ``params.flat``) of the head's mean batch
-    loss, soft cross-entropy (softmax) or BCE with negatives weighted by ``w_neg`` (sigmoid), for each
+    loss, soft cross-entropy (softmax) or BCE with negatives weighted by ``W_NEG`` (sigmoid), for each
     of ``ws.groups`` equal groups of rows (one without ``ws``). Each group runs its own matmuls, so its
     results are bit for bit a lone batch's. Valid while predictions sit above the clamp, which holds
     everywhere the loss is finite anyway.
@@ -269,7 +271,7 @@ def grad_batch(params: ClassifierParams, X, T, w_neg: float = 0.1,
     logits, acts = _forward_cached(params, X.reshape(ws.groups, -1, X.shape[1]), ws)
     S = head.activate(logits)
     T = T.reshape(S.shape)
-    return head.loss(S, T, w_neg), _backprop(params, acts, head.dlogits(S, T, w_neg), ws)
+    return head.loss(S, T), _backprop(params, acts, head.dlogits(S, T), ws)
 
 
 # ---------------------------------------------------------------------------

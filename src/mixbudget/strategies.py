@@ -37,6 +37,9 @@ TERMS = {
     "L_su": ("s", "u"),
     "L_mu": ("m", "u"),
 }
+ETA = 1.0  # lambda ~ Beta(ETA, ETA), one draw per iteration shared by every term
+ALPHA_MAX = 2.0  # the cross-term weight, reached after RAMP_ITERS iterations
+RAMP_ITERS = 100
 SET_NAMES = {"s": "singles", "m": "multis", "u": "unlabeled"}
 
 # Each strategy is a list of phases: (phase, iterations field of the spec,
@@ -66,19 +69,13 @@ class StrategyError(ValueError):
 
 @dataclass(frozen=True)
 class MixupConfig:
-    """Interpolation hyperparameters. ``batch_size`` is shared by all
-    three sets so cross-set batches pair element-wise."""
+    """Interpolation settings: ``batch_size`` is shared by all three sets
+    so cross-set batches pair element-wise. Lambda's Beta parameter and the
+    cross-term ramp are the constants ``ETA``, ``ALPHA_MAX``, ``RAMP_ITERS``."""
 
-    eta: float = 1.0
-    alpha_max: float = 2.0
-    ramp_iters: int = 100
     batch_size: int = 128
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise StrategyError("eta must be positive")
-        if self.ramp_iters < 1:
-            raise StrategyError("ramp_iters must be >= 1")
         if self.batch_size < 1:
             raise StrategyError("batch_size must be >= 1")
 
@@ -92,9 +89,7 @@ class StrategySpec:
     lr: float = 1e-5
     hidden_sizes: tuple[int, ...] = (64,)
     head: str = "softmax"
-    target_mode: str = "distribution"  # "distribution" or "prediction"
-    w_neg: float = 0.1
-    train_smooth_mass: float = 0.0  # label smoothing applied to one-hot single targets
+    train_smooth_mass: float = 0.0  # smoothing of one-hot single targets; calibrate's train_smoothing sets it
     seed: int = 0
 
     def __post_init__(self):
@@ -104,12 +99,14 @@ class StrategySpec:
             raise StrategyError("iterations_main must be positive")
         if self.iterations_finetune < 0:
             raise StrategyError("iterations_finetune must be >= 0")
-        if self.target_mode not in ("distribution", "prediction"):
-            raise StrategyError(f"target_mode must be 'distribution' or 'prediction', got {self.target_mode!r}")
+        if not self.lr > 0:
+            raise StrategyError(f"lr must be > 0, got {self.lr!r}")
+        if not all(n >= 1 for n in self.hidden_sizes):
+            raise StrategyError(f"hidden_sizes must each be >= 1, got {list(self.hidden_sizes)!r}")
         if not 0.0 <= self.train_smooth_mass <= 1.0:
             raise StrategyError("train_smooth_mass must lie in [0, 1]")
-        if self.head == "sigmoid" and (self.target_mode == "prediction" or self.train_smooth_mass > 0):
-            raise StrategyError("the sigmoid head takes no target_mode 'prediction' or train_smooth_mass")
+        if self.head == "sigmoid" and self.train_smooth_mass > 0:
+            raise StrategyError("the sigmoid head takes no train_smooth_mass")
 
 
 @dataclass
@@ -132,10 +129,10 @@ class TrainLog:
 def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> dict:
     """Training arrays per set: {"s": (X, Y), "m": (X, Y), "u": X or None}.
 
-    Softmax head: singles get one-hot targets; multis get empirical
-    frequencies (distribution mode) or the majority one-hot (prediction
-    mode). Sigmoid head: targets are multi-hot over the annotated types.
-    Empty sets map to None.
+    Softmax head: singles get one-hot targets (smoothed by
+    ``train_smooth_mass``), multis their empirical label frequencies.
+    Sigmoid head: targets are multi-hot over the annotated types. Empty
+    sets map to None.
     """
     k = vocab.size
 
@@ -143,12 +140,8 @@ def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> d
         if not len(part):
             return None
         if spec.head == "sigmoid":
-            Y = (part.counts(k) > 0).astype(np.float64)
-        elif spec.target_mode == "prediction":
-            Y = np.eye(k)[part.counts(k).argmax(axis=1)]
-        else:
-            Y = part.label_distribution(k)
-        return part.X, Y
+            return part.X, (part.counts(k) > 0).astype(np.float64)
+        return part.X, part.label_distribution(k)
 
     out = {"s": pack(split.singles), "m": pack(split.multis)}
     if out["s"] is not None and spec.train_smooth_mass > 0:
@@ -175,12 +168,12 @@ def mix_batches(batch_a, batch_b, lam: float):
     return lam * Xa + (1.0 - lam) * Xb, lam * Ya + (1.0 - lam) * Yb
 
 
-def ramp_alpha(iteration: int, cfg: MixupConfig) -> float:
-    """Cross-term weight: linear from 0 to alpha_max over the first
-    ``ramp_iters`` iterations, flat afterwards."""
+def ramp_alpha(iteration: int) -> float:
+    """Cross-term weight: linear from 0 to ``ALPHA_MAX`` over the first
+    ``RAMP_ITERS`` iterations, flat afterwards."""
     if iteration < 0:
         raise StrategyError("iteration must be >= 0")
-    return min(1.0, iteration / cfg.ramp_iters) * cfg.alpha_max
+    return min(1.0, iteration / RAMP_ITERS) * ALPHA_MAX
 
 
 def pseudo_label(params: ClassifierParams, x_u) -> np.ndarray:
@@ -200,14 +193,14 @@ class MixPairing:
     term_pairs: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
-def draw_pairing(rng: np.random.Generator, terms, batch_size: int, cfg: MixupConfig) -> MixPairing:
+def draw_pairing(rng: np.random.Generator, terms, batch_size: int) -> MixPairing:
     """Draw one iteration's lambda and pairings.
 
     Draw order is fixed for reproducibility: lambda first, then per term
     (in the strategy's canonical order) one permutation for within-set
     terms, or two independent shuffles for cross-set terms.
     """
-    lam = float(rng.beta(cfg.eta, cfg.eta))
+    lam = float(rng.beta(ETA, ETA))
     pairs = {}
     for term in terms:
         set_a, set_b = TERMS[term]
@@ -233,7 +226,6 @@ def composite_loss_and_grad(
     params: ClassifierParams,
     mixed: tuple,
     alpha: float,
-    w_neg: float = 0.1,
     ws: Workspace | None = None,
 ):
     """Total loss, gradient, and per-term components for one iteration, in
@@ -245,7 +237,7 @@ def composite_loss_and_grad(
     """
     terms, X, Y = mixed
     ws = Workspace(params, len(X) // len(terms), len(terms)) if ws is None else ws
-    losses, grads = grad_batch(params, X, Y, w_neg, ws)
+    losses, grads = grad_batch(params, X, Y, ws)
     grad = np.zeros_like(params.flat)
     total = 0.0
     components = {}
@@ -330,23 +322,23 @@ def run_strategy(
     params = init_params(d_feat, spec.hidden_sizes, vocab.size, spec.head, spec.seed)
     adam = init_adam(params, spec.lr)
     rng = np.random.default_rng(spec.seed)
-    cfg = spec.mixup
+    batch_size = spec.mixup.batch_size
     log: list[dict] = []
     for phase, iterations, draws, terms in phases:
-        ws = Workspace(params, cfg.batch_size, len(terms) or 1)
+        ws = Workspace(params, batch_size, len(terms) or 1)
         for it in range(iterations):
             batches = {}
             for key, draw in draws.items():
-                X, Y = draw(rng, cfg.batch_size)
+                X, Y = draw(rng, batch_size)
                 batches[key] = (X, pseudo_label(params, X) if Y is None else Y)
             if terms:
-                pairing = draw_pairing(rng, terms, cfg.batch_size, cfg)
-                alpha = ramp_alpha(it, cfg)
+                pairing = draw_pairing(rng, terms, batch_size)
+                alpha = ramp_alpha(it)
                 mixed = apply_pairing(batches, pairing)
-                loss, grad, comps = composite_loss_and_grad(params, mixed, alpha, spec.w_neg, ws)
+                loss, grad, comps = composite_loss_and_grad(params, mixed, alpha, ws)
             else:
                 ((X, Y),) = batches.values()
-                (loss,), (grad,) = grad_batch(params, X, Y, spec.w_neg, ws)
+                (loss,), (grad,) = grad_batch(params, X, Y, ws)
                 loss, alpha, comps = float(loss), 0.0, {}
             _abort_if_not_finite(loss, grad, it, log)
             adam_step(params, adam, grad)

@@ -94,6 +94,17 @@ class TestSplit:
         assert manifest["n_multis"] == 4
         assert manifest["n_unlabeled"] == 30
 
+    def test_manifest_names_its_files_relative_to_itself(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path))
+        blobs = []
+        for out in ("a", "b"):
+            for command in ("gen", "split"):
+                assert run_cli(command, "--config", str(path), "--out", str(tmp_path / out)) == 0
+            loaded = replace(cli.load_config(path), outdir=str(tmp_path / out))
+            blobs.append((cli.split_dir(loaded) / "manifest.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["files"] == {name: f"{name}.jsonl" for name in ("singles", "multis", "unlabeled")}
+
     def test_all_single_plan_gives_empty_multi_file(self, tmp_path):
         cfg = base_config(
             tmp_path,
@@ -161,12 +172,11 @@ class TestTrainEval:
     def test_eval_only_settings_keep_the_run_directory(self, tmp_path):
         cfg, path = self.prepared(tmp_path)
         assert run_cli("train", "--config", str(path)) == 0
-        scored = write_config(tmp_path, dict(cfg, histogram_bins=10, gold_source="true_dist",
-                                             kl_direction="model_human", threshold=0.3), "scored.json")
+        scored = write_config(tmp_path, dict(cfg, gold_source="true_dist", threshold=0.3), "scored.json")
         assert cli.run_dir(cli.load_config(scored), 0) == cli.run_dir(cli.load_config(path), 0)
         assert run_cli("eval", "--config", str(scored)) == 0
         with open(cli.run_dir(cli.load_config(path), 0) / "histogram.csv") as f:
-            assert len(f.readlines()) == 1 + 10
+            assert len(f.readlines()) == 1 + 20
 
     def test_untrained_uniform_model_matches_direct_metrics(self, tmp_path):
         cfg, path = self.prepared(tmp_path)
@@ -500,11 +510,16 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         assert run_cli("gen", "--config", str(path)) == 0
         assert run_cli("split", "--config", str(path)) == 0
+        # keys that were settable once fail as unknown keys too
+        removed = [("train", "strategy", key) for key in ("input_dropout", "w_neg", "target_mode", "train_smooth_mass")]
+        removed += [("train", "strategy.mixup", key) for key in ("eta", "alpha_max", "ramp_iters")]
+        removed += [("eval", "config", key) for key in ("kl_direction", "histogram_bins")]
         for command, section, key in (("split", "plan", "bogus"), ("train", "strategy", "bogus"),
-                                      ("train", "strategy.mixup", "bogus"),
-                                      ("train", "strategy", "input_dropout")):
+                                      ("train", "strategy.mixup", "bogus"), *removed):
             bad = json.loads(json.dumps(cfg))
-            target = bad["strategy"]["mixup"] if section == "strategy.mixup" else bad[section]
+            target = bad
+            for part in () if section == "config" else section.split("."):
+                target = target[part]
             target[key] = 0.0
             assert run_cli(command, "--config", str(write_config(tmp_path, bad, "bad.json"))) == 1
             err = capsys.readouterr().err.strip().splitlines()[-1]
@@ -550,6 +565,15 @@ class TestConfigValidation:
             run_cli(command, "--config", str(path), "--seed", "1")
         assert info.value.code != 0
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_negative_seed_flag_fails(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path))
+        for command in ("gen", "split"):
+            assert run_cli(command, "--config", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(path), "--seed", "-1") == 1
+        assert error_lines(capsys) == [{"error": "ConfigError: seeds must be integers >= 0, got [-1]"}]
+        assert not (Path(cli.load_config(path).outdir) / cli.config_hash(cli.load_config(path))).exists()
 
     def test_out_flag_overrides_outdir(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -635,6 +659,23 @@ class TestCorruptArtifacts:
         assert run_cli("eval", "--config", str(path)) == 1
         (line,) = error_lines(capsys)
         assert line["error"].startswith(f"ValueError: {checkpoint}: ")
+
+    @pytest.mark.parametrize("shapes, error", [
+        ([[3], [3]], "layer 0: weight (3,) and bias (3,) are not (n_in, n_out) and (n_out,)"),
+        ([[3, 4], [4], [5, 3], [3]], "layer 1: weight (5, 3) does not take layer 0's width 4"),
+        ([[4, 3], [3, 1]], "layer 0: weight (4, 3) and bias (3, 1) are not (n_in, n_out) and (n_out,)"),
+    ], ids=["1-d weight", "layers that do not chain", "2-d bias"])
+    def test_checkpoint_layer_shapes(self, tmp_path, capsys, shapes, error):
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert run_cli("gen", "--config", str(path)) == 0
+        checkpoint = cli.run_dir(cli.load_config(path), 0) / "checkpoint.bin"
+        checkpoint.parent.mkdir(parents=True)
+        header = {"format": "mixbudget-checkpoint-v1", "head": "softmax", "shapes": shapes,
+                  "vocab_hash": "0" * 16, "seed": 0}
+        checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * sum(map(np.prod, shapes))))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(path)) == 1
+        assert error_lines(capsys) == [{"error": f"ValueError: {checkpoint}: {error}"}]
 
     def test_empty_report(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -729,7 +770,6 @@ class TestConfigChecks:
         case("sweep", "strategy.lr", "0.01"),
         case("sweep", "strategy.hidden_sizes", 8),
         case("sweep", "strategy.mixup.batch_size", 16.0),
-        case("sweep", "strategy.mixup.eta", "1"),
         case("split", "plan.n_single", 60.0),
         case("gen", "outdir", 5),
         case("gen", "vocab", {"path": 5}, "vocab.path"),
@@ -739,6 +779,11 @@ class TestConfigChecks:
         case("gen", "corpus.synthetic.ambiguous_fraction", "0.5"),
         case("sweep", "calibration", {"method": "temp_scaling", "target_entropy": "1.0"},
              "calibration.target_entropy"),
+        # json reads NaN and Infinity, and NaN passes every x < 0 range check
+        case("gen", "corpus.synthetic.feature_noise_sigma", float("nan")),
+        case("gen", "corpus.synthetic.dirichlet_sharp", float("inf")),
+        case("sweep", "strategy.lr", float("nan")),
+        case("sweep", "strategy.lr", float("inf")),
     ]
     RANGE_GAPS = [
         case("sweep", "workers", 0),
@@ -806,8 +851,6 @@ class TestConfigChecks:
         ("sweep", "strategy.kind", "mixup_x",
          "StrategyError: strategy.kind must be one of 'ce_combined', 'ce_upsampling', 'ce_curriculum', 'mixup_s', "
          "'mixup_sm', 'mixup_su', 'mixup_su_then_m', 'mixup_smu', got 'mixup_x'"),
-        ("sweep", "strategy.target_mode", "argmax",
-         "StrategyError: strategy.target_mode must be 'distribution' or 'prediction', got 'argmax'"),
         ("sweep", "calibration.method", "platt", "CalibrationError: calibration.method must be one of "
          "'temp_scaling', 'pred_smoothing', 'train_smoothing', got 'platt'"),
         ("split", "plan.total_labels", 99, "CorpusError: plan.total_labels does not balance: 60 * 1 + 4 * 10 != 99"),
@@ -817,9 +860,16 @@ class TestConfigChecks:
         ("gen", "corpus.synthetic.k_classes", 1, "CorpusError: corpus.synthetic.k_classes must be > 1"),
         ("gen", "corpus.synthetic.dirichlet_flat", -1.0,
          "CorpusError: corpus.synthetic.dirichlet_flat must be positive"),
-    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic", "strategy.kind", "strategy.target_mode",
+        ("sweep", "seeds", [0, -1], "ConfigError: seeds must be integers >= 0, got [0, -1]"),
+        ("sweep", "strategy.lr", -0.5, "StrategyError: strategy.lr must be > 0, got -0.5"),
+        ("sweep", "strategy.lr", 0, "StrategyError: strategy.lr must be > 0, got 0.0"),
+        ("sweep", "strategy.hidden_sizes", [0], "StrategyError: strategy.hidden_sizes must each be >= 1, got [0]"),
+        ("sweep", "strategy.hidden_sizes", [8, -1],
+         "StrategyError: strategy.hidden_sizes must each be >= 1, got [8, -1]"),
+    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic", "strategy.kind",
             "calibration.method", "plan.total_labels", "plan.selection_strategy", "corpus.synthetic.n_examples",
-            "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat"])
+            "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat", "seeds", "strategy.lr<0",
+            "strategy.lr=0", "strategy.hidden_sizes=[0]", "strategy.hidden_sizes=[8,-1]"])
     def test_range_error_names_its_dotted_key(self, prepared, capsys, command, key, value, error):
         # the section's own check raises it; the loader prefixes the section's dotted name
         assert self.rejected(prepared, capsys, command, key, value, key) == error

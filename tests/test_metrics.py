@@ -305,12 +305,6 @@ class TestEvalReport:
         report, _, _ = self.make_report()
         assert sum(report.entropy_histogram) == report.n_examples
 
-    def test_kl_direction_configurable(self):
-        _, exs, preds = self.make_report()
-        fwd = evaluate_distribution(np.array(preds), eval_corpus(exs), 3, kl_direction="human_model")
-        rev = evaluate_distribution(np.array(preds), eval_corpus(exs), 3, kl_direction="model_human")
-        assert fwd.kl != rev.kl
-
     def test_true_dist_gold_source(self):
         rng = np.random.default_rng(6)
         exs, preds = [], []

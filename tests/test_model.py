@@ -252,8 +252,8 @@ class TestMultilabelHead:
         )
 
     def test_bce_negative_down_weighting(self):
-        # one negative at score 0.5: loss = w_neg * ln 2 / n_types
-        assert batch_multilabel_bce(np.array([[0.5]]), np.array([[0.0]]), w_neg=0.1) == pytest.approx(
+        # one negative at score 0.5: loss = W_NEG * ln 2 / n_types
+        assert batch_multilabel_bce(np.array([[0.5]]), np.array([[0.0]])) == pytest.approx(
             0.1 * math.log(2), abs=1e-12
         )
 
@@ -264,8 +264,8 @@ class TestMultilabelHead:
             params = init_params(4, (5,), 6, head="sigmoid", seed=trial)
             X = rng.normal(size=(3, 4))
             Y = (rng.random((3, 6)) < 0.4).astype(float)
-            _, (grads,) = grad_batch(params, X, Y, w_neg=0.1)
-            numeric = finite_difference(params, lambda: grad_batch(params, X, Y, 0.1)[0][0])
+            _, (grads,) = grad_batch(params, X, Y)
+            numeric = finite_difference(params, lambda: grad_batch(params, X, Y)[0][0])
             worst = max(worst, max_rel_err(grads, numeric))
         assert worst < 1e-4
 

@@ -93,15 +93,6 @@ class TestMakeTargets:
         data = make_targets(split, VOCAB, spec_for("ce_combined"))
         assert np.array_equal(data["s"][1][0], [0.0, 0.0, 1.0])
 
-    def test_prediction_mode_majority_with_tie(self):
-        split = CorpusSplit(
-            singles=rows(),
-            multis=rows(("m", np.zeros(2), [E] * 5 + [N] * 5)),
-            unlabeled=rows(),
-        )
-        data = make_targets(split, VOCAB, spec_for("ce_combined", target_mode="prediction"))
-        assert np.array_equal(data["m"][1][0], [1.0, 0.0, 0.0])  # tie -> E
-
     def test_typing_targets_are_multi_hot(self):
         split = CorpusSplit(
             singles=rows(("s", np.zeros(2), [C])),
@@ -112,12 +103,10 @@ class TestMakeTargets:
         assert np.array_equal(data["s"][1][0], [0.0, 0.0, 1.0])
         assert np.array_equal(data["m"][1][0], [1.0, 1.0, 0.0])
 
-    @pytest.mark.parametrize("setting", [{"target_mode": "prediction"}, {"train_smooth_mass": 0.1}])
-    def test_sigmoid_head_rejects_softmax_target_settings(self, setting):
-        # multi-hot targets have no majority label and no mass to smooth
-        with pytest.raises(StrategyError, match="the sigmoid head takes no target_mode 'prediction' or "
-                                                "train_smooth_mass"):
-            spec_for("ce_combined", head="sigmoid", **setting)
+    def test_sigmoid_head_rejects_train_smooth_mass(self):
+        # multi-hot targets have no mass to smooth
+        with pytest.raises(StrategyError, match="the sigmoid head takes no train_smooth_mass"):
+            spec_for("ce_combined", head="sigmoid", train_smooth_mass=0.1)
 
     def test_smoothed_single_targets(self):
         split = CorpusSplit(singles=rows(("s0", np.zeros(2), [C]), ("s1", np.zeros(2), [E])),
@@ -162,20 +151,19 @@ class TestMixPair:
 
 class TestRampAlpha:
     def test_starts_at_zero(self):
-        assert ramp_alpha(0, MixupConfig()) == 0.0
+        assert ramp_alpha(0) == 0.0
 
     def test_reaches_maximum(self):
-        cfg = MixupConfig()
-        assert ramp_alpha(100, cfg) == 2.0
-        assert ramp_alpha(5000, cfg) == 2.0
+        assert ramp_alpha(100) == 2.0
+        assert ramp_alpha(5000) == 2.0
 
     def test_linear_midpoint(self):
-        assert ramp_alpha(50, MixupConfig()) == pytest.approx(1.0, abs=1e-15)
+        assert ramp_alpha(50) == pytest.approx(1.0, abs=1e-15)
 
     def test_trace_formula(self):
-        cfg = MixupConfig(alpha_max=2.0, ramp_iters=100)
+        assert (strategies.ALPHA_MAX, strategies.RAMP_ITERS) == (2.0, 100)
         for t in range(0, 300, 7):
-            assert ramp_alpha(t, cfg) == min(1.0, t / 100) * 2.0
+            assert ramp_alpha(t) == min(1.0, t / 100) * 2.0
 
 
 class TestPseudoLabel:
@@ -218,8 +206,8 @@ class TestPseudoLabel:
 class TestLambdaDistribution:
     def test_uniform_for_unit_eta(self):
         rng = np.random.default_rng(17)
-        cfg = MixupConfig(eta=1.0)
-        draws = np.array([draw_pairing(rng, (), 1, cfg).lam for _ in range(100_000)])
+        assert strategies.ETA == 1.0
+        draws = np.array([draw_pairing(rng, (), 1).lam for _ in range(100_000)])
         draws.sort()
         n = len(draws)
         grid = np.arange(1, n + 1) / n
@@ -324,7 +312,7 @@ class TestCompositeGradient:
             Xu = batches["u"][0]
             batches["u"] = (Xu, pseudo_label(params, Xu))
             pairing = draw_pairing(
-                rng, ("L_ss", "L_mm", "L_sm", "L_su", "L_mu"), 2, MixupConfig()
+                rng, ("L_ss", "L_mm", "L_sm", "L_su", "L_mu"), 2
             )
             alpha = 1.7
 
@@ -357,7 +345,7 @@ class TestStackedStep:
             return (rng.random((B, k)) < 0.4).astype(np.float64)
 
         batches = {key: (rng.normal(size=(B, d)), targets()) for key in ("m", "s", "u")}
-        pairing = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B, MixupConfig())
+        pairing = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B)
         pairing.lam = lam
         total, grad, comps = composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)
 

@@ -770,6 +770,7 @@ class TestConfigChecks:
         case("sweep", "strategy.lr", "0.01"),
         case("sweep", "strategy.hidden_sizes", 8),
         case("sweep", "strategy.mixup.batch_size", 16.0),
+        case("sweep", "strategy.mixup.eta", "1"),  # a key that is settable no more
         case("split", "plan.n_single", 60.0),
         case("gen", "outdir", 5),
         case("gen", "vocab", {"path": 5}, "vocab.path"),
@@ -830,7 +831,10 @@ class TestConfigChecks:
         capsys.readouterr()
         assert run_cli(command, "--config", str(path)) == 1
         (line,) = error_lines(capsys)
-        assert f"{named} " in line["error"] or f"{named}'" in line["error"], line
+        section, _, leaf = named.rpartition(".")
+        # an unknown key is named by its section and its own name
+        spellings = (f"{named} ", f"{named}'", f"unknown {section or 'config'} key '{leaf}'")
+        assert any(spelling in line["error"] for spelling in spellings), line
         assert sorted(tmp.rglob("*")) == before  # no checkpoint, split or report
         return line["error"]
 
@@ -851,6 +855,8 @@ class TestConfigChecks:
         ("sweep", "strategy.kind", "mixup_x",
          "StrategyError: strategy.kind must be one of 'ce_combined', 'ce_upsampling', 'ce_curriculum', 'mixup_s', "
          "'mixup_sm', 'mixup_su', 'mixup_su_then_m', 'mixup_smu', got 'mixup_x'"),
+        # a key that is settable no more fails in the loader, before any range check
+        ("sweep", "strategy.target_mode", "argmax", "ConfigError: unknown strategy key 'target_mode'"),
         ("sweep", "calibration.method", "platt", "CalibrationError: calibration.method must be one of "
          "'temp_scaling', 'pred_smoothing', 'train_smoothing', got 'platt'"),
         ("split", "plan.total_labels", 99, "CorpusError: plan.total_labels does not balance: 60 * 1 + 4 * 10 != 99"),
@@ -866,7 +872,7 @@ class TestConfigChecks:
         ("sweep", "strategy.hidden_sizes", [0], "StrategyError: strategy.hidden_sizes must each be >= 1, got [0]"),
         ("sweep", "strategy.hidden_sizes", [8, -1],
          "StrategyError: strategy.hidden_sizes must each be >= 1, got [8, -1]"),
-    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic", "strategy.kind",
+    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic", "strategy.kind", "strategy.target_mode",
             "calibration.method", "plan.total_labels", "plan.selection_strategy", "corpus.synthetic.n_examples",
             "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat", "seeds", "strategy.lr<0",
             "strategy.lr=0", "strategy.hidden_sizes=[0]", "strategy.hidden_sizes=[8,-1]"])

@@ -2,9 +2,12 @@
 
 Three methods, each governed by one scalar: temperature scaling of
 logits, smoothing of predicted distributions, and smoothing of training
-targets. The scalar is tuned by bisection so that the mean entropy of the
-calibrated distributions matches a reference entropy (typically the mean
-entropy of the human label distributions).
+targets. ``CalibrationConfig`` checks the scalar's range, and one map,
+``calibrated``, turns values into distributions for every method. The
+scalar is tuned over that map by bisection so that the mean entropy of
+the calibrated distributions matches a reference entropy (typically the
+mean entropy of the human label distributions); a caller applies the
+tuned scalar with the same map.
 
 All entropies here are in nats.
 """
@@ -37,6 +40,9 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise CalibrationError(f"method must be one of {', '.join(map(repr, METHODS))}, got {self.method!r}")
+        if self.scalar is not None and not (
+                0 < self.scalar if self.method == "temp_scaling" else 0 <= self.scalar <= 1):
+            raise CalibrationError(f"scalar must be > 0 for temp_scaling, else in [0, 1]; got {self.scalar}")
 
 
 def temp_scale(logits, T: float) -> np.ndarray:
@@ -46,25 +52,32 @@ def temp_scale(logits, T: float) -> np.ndarray:
     return softmax(np.asarray(logits, dtype=np.float64) / T)
 
 
-def _smooth_rows(dists: np.ndarray, alpha_s: float) -> np.ndarray:
-    top = np.max(dists, axis=-1)
-    if np.any(alpha_s > top + 1e-12):
-        raise CalibrationError(
-            f"smoothing mass {alpha_s} exceeds an entry's largest mass {top.min()}"
-        )
-    out = dists + alpha_s / dists.shape[-1]
-    out[np.arange(len(dists)), np.argmax(dists, axis=-1)] -= alpha_s
-    return out
-
-
 def pred_smooth(dist, alpha_s: float) -> np.ndarray:
-    """Move ``alpha_s`` probability mass off the largest entry and spread
-    it equally over all labels (the largest entry included), conserving
-    total mass exactly."""
+    """Move ``alpha_s`` probability mass off the largest entry of each row
+    and spread it equally over all labels (the largest entry included),
+    conserving total mass exactly."""
     if not 0.0 <= alpha_s <= 1.0:
         raise CalibrationError("smoothing mass must lie in [0, 1]")
     d = np.asarray(dist, dtype=np.float64)
-    return _smooth_rows(np.atleast_2d(d), alpha_s).reshape(d.shape)
+    rows = np.atleast_2d(d)
+    top = np.max(rows, axis=-1)
+    if np.any(alpha_s > top + 1e-12):
+        raise CalibrationError(f"smoothing mass {alpha_s} exceeds an entry's largest mass {top.min()}")
+    out = rows + alpha_s / rows.shape[-1]
+    out[np.arange(len(rows)), np.argmax(rows, axis=-1)] -= alpha_s
+    return out.reshape(d.shape)
+
+
+def calibrated(method: str, values, scalar: float) -> np.ndarray:
+    """The distributions ``method`` makes of ``values`` at ``scalar``:
+    logits scaled by temperature for temp_scaling; distributions smoothed
+    for pred_smoothing (predictions) and train_smoothing (training
+    targets)."""
+    if method == "temp_scaling":
+        return temp_scale(values, scalar)
+    if method in METHODS:
+        return pred_smooth(values, scalar)
+    raise CalibrationError(f"unknown calibration method {method!r}")
 
 
 @dataclass
@@ -99,15 +112,11 @@ def tune_entropy_match(method: str, values, target_entropy: float) -> TuneResult
 
     if method == "temp_scaling":
         lo, hi = TEMP_LO, TEMP_HI
-        calibrated = lambda s: mean_entropy(temp_scale(V, s))
-    elif method in ("pred_smoothing", "train_smoothing"):
-        lo = 0.0
-        hi = float(np.min(np.max(V, axis=-1)))  # largest jointly feasible mass
-        calibrated = lambda s: mean_entropy(_smooth_rows(V, s))
     else:
-        raise CalibrationError(f"unknown calibration method {method!r}")
+        lo, hi = 0.0, float(np.min(np.max(V, axis=-1)))  # largest jointly feasible mass
+    entropy_at = lambda s: mean_entropy(calibrated(method, V, s))
 
-    e_lo, e_hi = calibrated(lo), calibrated(hi)
+    e_lo, e_hi = entropy_at(lo), entropy_at(hi)
     if target_entropy <= e_lo:
         return TuneResult(lo, e_lo, warning=e_lo - target_entropy > TUNE_TOL)
     if target_entropy >= e_hi:
@@ -117,12 +126,12 @@ def tune_entropy_match(method: str, values, target_entropy: float) -> TuneResult
     # scalar inside tol, so fixed points are recovered tightly
     for _ in range(TUNE_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if calibrated(mid) < target_entropy:
+        if entropy_at(mid) < target_entropy:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
     scalar = 0.5 * (lo + hi)
-    achieved = calibrated(scalar)
+    achieved = entropy_at(scalar)
     return TuneResult(scalar, achieved, warning=abs(achieved - target_entropy) > TUNE_TOL)

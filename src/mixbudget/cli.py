@@ -99,6 +99,9 @@ class Config:
                               ("threshold", 0 < self.threshold < 1, "in (0, 1)")):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        for key, task in (("threshold", "typing"), ("gold_source", "distribution")):
+            if key in self.raw and self.task != task:
+                raise ConfigError(f"{key} is read by the {task} task only")
 
 
 # the JSON types a field type or its origin takes, and their name: an int passes for a float, a bool for none
@@ -207,9 +210,7 @@ def build_calibration(cfg: Config, k: int) -> CalibrationConfig:
     if cfg.task != "distribution":
         raise ConfigError("calibration supports the distribution task only")
     calibration = typed(CalibrationConfig, cfg.calibration, "calibration")
-    scalar, entropy = calibration.scalar, calibration.target_entropy
-    if scalar is not None and not (0 < scalar if calibration.method == "temp_scaling" else 0 <= scalar <= 1):
-        raise ConfigError(f"calibration.scalar must be > 0 for temp_scaling, else in [0, 1]; got {scalar}")
+    entropy = calibration.target_entropy
     if entropy is not None and not 0 <= entropy <= math.log(k):
         raise ConfigError(f"calibration.target_entropy must lie in [0, ln {k}], got {entropy}")
     return calibration
@@ -286,11 +287,15 @@ class _Inputs:
         return CorpusSplit(*(load_corpus(out / f"{part.name}.jsonl", self.vocab)
                              for part in fields(CorpusSplit)))
 
+    @property
+    def eval_path(self) -> Path:
+        return Path(self.cfg.eval_path or self.cfg.corpus.eval or data_dir(self.cfg) / "eval.jsonl")
+
     @cached_property
     def eval_set(self) -> Corpus:
         from .corpus import load_corpus
 
-        path = Path(self.cfg.eval_path or self.cfg.corpus.eval or data_dir(self.cfg) / "eval.jsonl")
+        path = self.eval_path
         if not path.exists():
             raise ConfigError(f"eval corpus not found at {path}")
         examples = load_corpus(path, self.vocab)
@@ -299,18 +304,22 @@ class _Inputs:
         return examples
 
     def params(self, seed: int):
+        """Seed ``seed``'s params, checked to take the eval corpus's features."""
         from .model import load_checkpoint, vocab_hash
 
-        if seed in self.trained:
-            return self.trained[seed]
-        path = run_dir(self.cfg, seed) / "checkpoint.bin"
-        if not path.exists():
-            raise ConfigError(f"checkpoint not found at {path} (run train first?)")
-        params, header = load_checkpoint(path)
-        expected = vocab_hash(self.vocab.names)
-        if header["vocab_hash"] != expected:
-            raise ConfigError(f"checkpoint at {path} was trained on another vocab than {self.cfg.vocab} "
-                              f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
+        params = self.trained.get(seed)
+        if params is None:
+            path = run_dir(self.cfg, seed) / "checkpoint.bin"
+            if not path.exists():
+                raise ConfigError(f"checkpoint not found at {path} (run train first?)")
+            params, header = load_checkpoint(path)
+            expected = vocab_hash(self.vocab.names)
+            if header["vocab_hash"] != expected:
+                raise ConfigError(f"checkpoint at {path} was trained on another vocab than {self.cfg.vocab} "
+                                  f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
+        if self.eval_set.X.shape[1] != params.n_in:
+            raise ConfigError(f"eval corpus at {self.eval_path} has {self.eval_set.X.shape[1]} features, "
+                              f"but the model of seed {seed} takes {params.n_in}")
         return params
 
 
@@ -362,26 +371,20 @@ def cmd_calibrate(cfg: Config, seed: int, inputs: _Inputs) -> dict:
     if target is None:
         target = float(np.mean(entropy_rows(gold_rows(examples, vocab.size, cfg.gold_source))))
 
-    def tune(values):
-        if calibration.scalar is not None:
-            return cal.TuneResult(calibration.scalar, float("nan"), warning=False)
-        return cal.tune_entropy_match(calibration.method, values, target)
-
-    if calibration.method == "temp_scaling":
-        tuned = tune(logits)
-        preds = cal.temp_scale(logits, tuned.scalar)
-    elif calibration.method == "pred_smoothing":
-        tuned = tune(raw_preds)
-        preds = cal.pred_smooth(raw_preds, tuned.scalar)
-    else:  # train_smoothing: tune on the one-hot single targets, retrain
+    # what the method acts on; all one-hot training targets smooth alike, so one row stands for them
+    values = {"temp_scaling": logits, "pred_smoothing": raw_preds,
+              "train_smoothing": np.eye(vocab.size)[:1]}[calibration.method]
+    tuned = (cal.TuneResult(calibration.scalar, float("nan")) if calibration.scalar is not None
+             else cal.tune_entropy_match(calibration.method, values, target))
+    if calibration.method == "train_smoothing":  # retrain on the smoothed single targets
         from .strategies import run_strategy
 
-        onehots = np.eye(vocab.size)[:1]  # all one-hot rows smooth identically
-        tuned = tune(onehots)
         spec = replace(build_strategy(cfg, seed), train_smooth_mass=tuned.scalar)
         _one_blas_thread()
         params, _ = run_strategy(spec, inputs.split, vocab)
         preds = forward_scores(params, examples.X)
+    else:
+        preds = cal.calibrated(calibration.method, values, tuned.scalar)
 
     report = evaluate_distribution(preds, examples, vocab.size, cfg.gold_source)
     report.calibration = {

@@ -24,29 +24,16 @@ class MetricsError(ValueError):
     pass
 
 
-def _row_sums(T: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row, the sum of ``T`` over ``mask`` (``T`` is 0 elsewhere), with
-    the same float64 result as summing the row's masked entries alone:
-    numpy adds fewer than 8 values in order, so in narrower rows the zeros
-    change nothing, and wider rows are summed in groups of equal count."""
-    if T.shape[1] < 8:
-        return T.sum(axis=1)
-    counts = mask.sum(axis=1)
-    T = np.take_along_axis(T, np.argsort(~mask, axis=1, kind="stable"), axis=1)
-    out = np.zeros(len(T))
-    for c in np.unique(counts):
-        rows = counts == c
-        out[rows] = T[rows, :c].sum(axis=1)
-    return out
-
-
 def _sum_plogq(P, Q, log=np.log) -> np.ndarray:
     """Per row, the sum of p * log(p / q) over the entries where p > 0."""
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
     Q = np.broadcast_to(np.asarray(Q, dtype=np.float64), P.shape)
     mask = P > 0
     ratio = np.where(mask, P, 1.0) / np.where(mask, Q, 1.0)
-    return _row_sums(np.where(mask, P * log(ratio), 0.0), mask)
+    T = np.where(mask, P * log(ratio), 0.0)
+    # each row's value is the sum of its p > 0 terms alone, the entropy that allocate_budget ranks by: numpy
+    # adds fewer than 8 values in order, so zeros change nothing in a narrower row, but may in a wider one
+    return T.sum(axis=1) if T.shape[1] < 8 else np.array([row[m].sum() for row, m in zip(T, mask)])
 
 
 def entropy_rows(P) -> np.ndarray:

@@ -278,6 +278,9 @@ def grad_batch(params: ClassifierParams, X, T, ws: Workspace | None = None) -> t
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Moment vectors for Adam with bias correction, and two scratch
@@ -288,9 +291,6 @@ class AdamState:
     scratch: np.ndarray  # (2, n_params)
     step: int = 0
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: ClassifierParams, lr: float = 1e-5) -> AdamState:
@@ -306,13 +306,13 @@ def adam_step(params: ClassifierParams, state: AdamState, grad: np.ndarray) -> N
     state.step += 1
     t = state.step
     a, b = state.scratch
-    state.m *= state.beta1
-    state.m += np.multiply(1.0 - state.beta1, grad, out=a)
-    state.v *= state.beta2
-    state.v += np.multiply(np.multiply(1.0 - state.beta2, grad, out=a), grad, out=a)
-    np.multiply(state.lr, np.divide(state.m, 1.0 - state.beta1**t, out=a), out=a)  # lr * m_hat
-    np.sqrt(np.divide(state.v, 1.0 - state.beta2**t, out=b), out=b)                # sqrt(v_hat)
-    b += state.eps
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
+    state.v *= ADAM_BETA2
+    state.v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=a), grad, out=a)
+    np.multiply(state.lr, np.divide(state.m, 1.0 - ADAM_BETA1**t, out=a), out=a)  # lr * m_hat
+    np.sqrt(np.divide(state.v, 1.0 - ADAM_BETA2**t, out=b), out=b)                # sqrt(v_hat)
+    b += ADAM_EPS
     params.flat -= np.divide(a, b, out=a)
 
 

@@ -12,6 +12,7 @@ from mixbudget.calibrate import (
     TEMP_LO,
     CalibrationConfig,
     CalibrationError,
+    calibrated,
     mean_entropy,
     pred_smooth,
     temp_scale,
@@ -188,6 +189,20 @@ class TestTuneEntropyMatch:
         with pytest.raises(CalibrationError):
             tune_entropy_match("temp_scaling", np.zeros((2, 3)), math.log(3) + 0.5)
 
+    @pytest.mark.parametrize("method", ["temp_scaling", "pred_smoothing", "train_smoothing"])
+    def test_applying_the_tuned_scalar_gives_the_achieved_entropy(self, method):
+        # tuning and applying go through one map, so the entropy the tuner reports is the applied one's
+        rng = np.random.default_rng(9)
+        logits = rng.normal(scale=2.0, size=(100, 3))
+        values = {"temp_scaling": logits, "pred_smoothing": softmax(logits),
+                  "train_smoothing": np.eye(3)[rng.integers(3, size=100)]}[method]
+        result = tune_entropy_match(method, values, 0.8)
+        assert mean_entropy(calibrated(method, values, result.scalar)) == result.achieved_entropy
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(CalibrationError, match="unknown calibration method"):
+            tune_entropy_match("platt", np.full((2, 3), 1 / 3), 0.5)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), k=st.integers(2, 12), rows=st.integers(1, 8),
            scale=st.floats(1e-3, 1e3), temps=st.lists(st.floats(TEMP_LO, TEMP_HI), min_size=2, max_size=6))
@@ -204,3 +219,14 @@ class TestCalibrationConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(CalibrationError):
             CalibrationConfig(method="platt")
+
+    @pytest.mark.parametrize("method, scalar", [("temp_scaling", -1.0), ("temp_scaling", 0.0),
+                                                ("pred_smoothing", 2.0), ("train_smoothing", -0.1)])
+    def test_scalar_out_of_range_rejected(self, method, scalar):
+        with pytest.raises(CalibrationError, match="^scalar must be"):
+            CalibrationConfig(method=method, scalar=scalar)
+
+    @pytest.mark.parametrize("method, scalar", [("temp_scaling", 2.0), ("pred_smoothing", 0.0),
+                                                ("train_smoothing", 1.0), ("temp_scaling", None)])
+    def test_scalar_in_range_accepted(self, method, scalar):
+        assert CalibrationConfig(method=method, scalar=scalar).scalar == scalar

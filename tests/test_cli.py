@@ -172,7 +172,7 @@ class TestTrainEval:
     def test_eval_only_settings_keep_the_run_directory(self, tmp_path):
         cfg, path = self.prepared(tmp_path)
         assert run_cli("train", "--config", str(path)) == 0
-        scored = write_config(tmp_path, dict(cfg, gold_source="true_dist", threshold=0.3), "scored.json")
+        scored = write_config(tmp_path, dict(cfg, gold_source="true_dist"), "scored.json")
         assert cli.run_dir(cli.load_config(scored), 0) == cli.run_dir(cli.load_config(path), 0)
         assert run_cli("eval", "--config", str(scored)) == 0
         with open(cli.run_dir(cli.load_config(path), 0) / "histogram.csv") as f:
@@ -215,6 +215,25 @@ class TestTrainEval:
         assert run_cli("eval", "--config", str(ood_path)) == 0
         summary = read_report_summary(cli.run_dir(cli.load_config(ood_path), 0) / "report.jsonl")
         assert summary["n_examples"] == 25
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_eval_corpus_of_another_width_names_the_file(self, tmp_path, capsys, command):
+        cfg, path = self.prepared(tmp_path, calibration={"method": "temp_scaling"})
+        assert run_cli("train", "--config", str(path)) == 0
+        other = base_config(tmp_path, corpus={"synthetic": {"n_examples": 30, "k_classes": 3, "d_feat": 5,
+                                                            "ambiguous_fraction": 0.5, "seed": 99},
+                                              "n_eval": 25})
+        other_path = write_config(tmp_path, other, "other.json")
+        assert run_cli("gen", "--config", str(other_path)) == 0
+        wide = str(cli.data_dir(cli.load_config(other_path)) / "eval.jsonl")
+        wide_path = write_config(tmp_path, dict(cfg, eval_path=wide), "wide.json")
+        run = cli.run_dir(cli.load_config(path), 0)
+        before = sorted(run.iterdir())
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(wide_path)) == 1
+        assert error_lines(capsys) == [
+            {"error": f"ConfigError: eval corpus at {wide} has 5 features, but the model of seed 0 takes 4"}]
+        assert sorted(run.iterdir()) == before  # no report
 
 
 class TestCalibrateCommand:
@@ -400,7 +419,7 @@ class TestTypingTask:
         save_corpus(pool[40:], eval_path, type_vocab)
         return type_vocab, pool_path, eval_path
 
-    def test_typing_end_to_end(self, tmp_path):
+    def typing_config(self, tmp_path):
         type_vocab, pool_path, eval_path = self.make_typing_fixture(tmp_path)
         cfg = {
             "task": "typing",
@@ -414,7 +433,10 @@ class TestTypingTask:
             "seeds": [0],
             "outdir": str(tmp_path / "typing_runs"),
         }
-        path = write_config(tmp_path, cfg, "typing.json")
+        return cfg, write_config(tmp_path, cfg, "typing.json")
+
+    def test_typing_end_to_end(self, tmp_path):
+        cfg, path = self.typing_config(tmp_path)
         for command in ("split", "train", "eval"):
             assert run_cli(command, "--config", str(path)) == 0
         summary = read_report_summary(cli.run_dir(cli.load_config(path), 0) / "report.jsonl")
@@ -422,6 +444,14 @@ class TestTypingTask:
             assert 0.0 <= summary[key] <= 1.0
         manifest = json.loads((cli.split_dir(cli.load_config(path)) / "manifest.json").read_text())
         assert manifest["label_total"] == 50
+
+    def test_threshold_keeps_the_run_directory(self, tmp_path):
+        cfg, path = self.typing_config(tmp_path)
+        for command in ("split", "train"):
+            assert run_cli(command, "--config", str(path)) == 0
+        strict = write_config(tmp_path, dict(cfg, threshold=0.3), "strict.json")
+        assert cli.run_dir(cli.load_config(strict), 0) == cli.run_dir(cli.load_config(path), 0)
+        assert run_cli("eval", "--config", str(strict)) == 0
 
     def test_gen_rejects_typing(self, tmp_path, capsys):
         cfg = base_config(tmp_path, task="typing")
@@ -614,6 +644,10 @@ class TestErrorPaths:
         "no plan": ("split", {}, ("plan",), ("gen",), "ConfigError: config has no plan section"),
         "no strategy": ("sweep", {}, ("strategy",), (), "ConfigError: config has no strategy section"),
         "no calibration": ("calibrate", {}, (), (), "ConfigError: config has no calibration section"),
+        "threshold on distribution": ("sweep", {"threshold": 0.3}, (), (),
+                                      "ConfigError: threshold is read by the typing task only"),
+        "gold_source on typing": ("eval", {"task": "typing", "gold_source": "counter"}, (), (),
+                                  "ConfigError: gold_source is read by the distribution task only"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -176,6 +176,34 @@ class TestJSD:
         )
 
 
+class TestWideRows:
+    """Each row's entropy, KL and JSD is its terms' sum to within the rounding of summing at most 40
+    terms: relative 1e-12 of the terms' magnitudes, against ``math.fsum`` of the same terms."""
+
+    @staticmethod
+    def fsum_rows(P, Q, log):
+        """Per row, ``math.fsum`` of p * log(p / q) over p > 0, and the sum of the terms' magnitudes."""
+        terms = [[p * log(p / q) for p, q in zip(prow, qrow) if p > 0] for prow, qrow in zip(P, Q)]
+        return np.array([math.fsum(t) for t in terms]), np.array([math.fsum(map(abs, t)) for t in terms])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 40), n=st.integers(1, 4))
+    def test_rows_agree_with_fsum(self, data, k, n):
+        entry = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+        row = st.lists(entry, min_size=k, max_size=k).filter(lambda v: sum(v) > 0)
+        P, Q = (np.array([data.draw(row) for _ in range(n)]) for _ in range(2))
+        P, Q = P / P.sum(axis=1, keepdims=True), Q / Q.sum(axis=1, keepdims=True)
+        M = 0.5 * (P + Q)
+
+        H, H_size = self.fsum_rows(P, np.ones_like(P), math.log)
+        kl, kl_size = self.fsum_rows(P, np.maximum(Q, 1e-10), math.log)
+        (jp, jp_size), (jq, jq_size) = (self.fsum_rows(A, M, math.log2) for A in (P, Q))
+        assert np.all(np.abs(entropy_rows(P) + H) <= 1e-12 * H_size)
+        assert np.all(np.abs(kl_rows(P, Q) - kl) <= 1e-12 * kl_size)
+        assert np.all(np.abs(jsd_rows(P, Q) - np.clip(0.5 * jp + 0.5 * jq, 0.0, 1.0))
+                      <= 1e-12 * (jp_size + jq_size))
+
+
 class TestEntropyHistogram:
     def test_one_hot_lands_in_first_bin(self):
         assert entropy([1.0, 0.0, 0.0]) == 0.0

@@ -1,0 +1,115 @@
+"""Compare what two mixbudget source trees write, byte for byte.
+
+Runs ``gen -> split -> sweep -> report`` as ``python -m mixbudget``
+processes from each tree, on the ``perfbench`` CLI configs: the typing
+config, and the distribution config under five calibration settings
+(temperature scaling tuned, prediction smoothing tuned, training
+smoothing tuned, prediction smoothing fixed at 0.05, temperature scaling
+fixed at 2.0), each at ``workers`` 1 and 2. Both trees run in the same
+directory, one after the other, since the typing config's corpus paths
+enter its hashed directory names. Then it diffs every file the runs wrote
+and every exit code and stdout line. Run it from the repository root:
+
+    python3 tools/compare_artifacts.py --base ../parent/src --seeds 0 1
+
+``--head`` defaults to this repository's ``src``. Prints each difference
+and a count; exits 0 when everything matches and 1 otherwise. It reads
+``perfbench`` and changes nothing there.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+
+from workloads import cli_configs, write_typing_corpus  # noqa: E402
+
+CALIBRATIONS = {
+    "temp-tuned": {"method": "temp_scaling", "target_entropy": None},
+    "pred-tuned": {"method": "pred_smoothing"},
+    "train-tuned": {"method": "train_smoothing"},
+    "pred-fixed": {"method": "pred_smoothing", "scalar": 0.05},
+    "temp-fixed": {"method": "temp_scaling", "scalar": 2.0},
+}
+WORKERS = (1, 2)
+TIMEOUT_S = 600
+
+
+def run_tree(src: Path, out: Path, seed: int) -> list[str]:
+    """Run every command from the tree ``src`` under ``out``; one line per
+    command: its arguments, exit code and stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    lines = []
+    for workers in WORKERS:
+        wdir = out / f"w{workers}"
+        wdir.mkdir(parents=True)
+        write_typing_corpus(wdir / "typing_pool.jsonl", wdir / "typing_eval.jsonl", seed)
+        configs = cli_configs(seed, wdir)
+        paths = {}
+        for name, calibration in [*CALIBRATIONS.items(), ("typing", None)]:
+            cfg = configs["typing"] if calibration is None else {**configs["distribution"], "calibration": calibration}
+            paths[name] = wdir / f"{name}.json"
+            paths[name].write_text(json.dumps({**cfg, "workers": workers}), encoding="utf-8")
+        first = paths["temp-tuned"]
+        commands = [("gen", first), ("split", first), ("split", paths["typing"])]
+        commands += [(command, path) for path in paths.values() for command in ("sweep", "report")]
+        for command, path in commands:
+            proc = subprocess.run([sys.executable, "-m", "mixbudget", command, "--config", str(path)],
+                                  cwd=wdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            lines.append(f"{command} {path.relative_to(out)} exit {proc.returncode}: {proc.stdout.rstrip()}")
+            if proc.returncode:
+                print(f"{src}: {command} {path.name} failed: {proc.stderr.strip()}", file=sys.stderr)
+    return lines
+
+
+def files(out: Path) -> dict[str, bytes]:
+    """Every file under ``out`` by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="the src directory to compare against")
+    parser.add_argument("--head", type=Path, default=ROOT / "src", help="the src directory under test")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0], help="workload seeds (default: 0)")
+    parser.add_argument("--work", type=Path, default=None, help="keep the runs here (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    for src in (args.base, args.head):
+        if not (src / "mixbudget" / "__init__.py").is_file():
+            parser.error(f"no mixbudget sources under {src}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = (args.work or Path(tmp)).resolve()
+        n_files = n_lines = n_diff = 0
+        for seed in args.seeds:
+            runs = {}
+            out = work / f"seed{seed}" / "run"
+            for side, src in (("base", args.base), ("head", args.head)):
+                runs[side] = run_tree(src.resolve(), out, seed), files(out)
+                out.rename(out.with_name(side))
+            (base_lines, base_files), (head_lines, head_files) = runs["base"], runs["head"]
+            for a, b in zip(base_lines, head_lines):
+                if a != b:
+                    n_diff += 1
+                    print(f"seed {seed}: stdout differs\n  base: {a}\n  head: {b}")
+            for name in sorted(base_files.keys() | head_files.keys()):
+                if base_files.get(name) != head_files.get(name):
+                    n_diff += 1
+                    side = "head" if name not in base_files else "base" if name not in head_files else None
+                    print(f"seed {seed}: {name} " + (f"is only in {side}" if side else "differs"))
+            n_lines += len(base_lines)
+            n_files += len(base_files.keys() | head_files.keys())
+    print(f"{n_files} files and {n_lines} command outputs compared over seeds {args.seeds}: "
+          f"{n_diff} differ")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

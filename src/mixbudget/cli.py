@@ -13,9 +13,9 @@ config's output directory:
 Every command is deterministic given (config, seed) and writes no
 timestamps, so re-runs are byte-identical. Each command imports only the
 modules it runs (``gen``, ``split`` and ``report`` load no training code,
-and ``report`` loads no numpy), and a sweep reads its inputs once for all
-seeds, before forking workers. Every process that trains runs OpenBLAS on
-one thread.
+and ``report`` loads no numpy). A sweep reads and checks its inputs once,
+before the first seed, then runs each seed's ``train``, ``eval`` and
+``calibrate``. Every process that trains runs OpenBLAS on one thread.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class VocabFile:
 
 @dataclass(frozen=True)
 class CorpusSource:
-    """The pool and eval corpus: ``synthetic`` settings for ``gen``, or ``pool``/``eval`` files."""
+    """The pool and eval corpus from one source: ``synthetic`` settings for ``gen``, or ``pool``/``eval`` files."""
 
     synthetic: dict | None = None
     n_eval: int = 0
@@ -68,6 +68,13 @@ class CorpusSource:
     def __post_init__(self):
         if self.n_eval < 0:
             raise ConfigError(f"n_eval must be >= 0, got {self.n_eval!r}")
+        if self.synthetic is None and self.n_eval:
+            raise ConfigError(f"n_eval is read with synthetic only, got {self.n_eval!r}")
+        if self.synthetic is not None and self.pool is not None:
+            raise ConfigError("pool cannot go with synthetic, from which gen writes the pool")
+        if self.synthetic is not None and self.eval is not None:
+            raise ConfigError("eval cannot go with synthetic, from which gen writes the eval corpus; "
+                              "eval_path sets another eval corpus")
 
 
 @dataclass(frozen=True)
@@ -267,14 +274,14 @@ def cmd_split(cfg: Config) -> dict:
 
 
 class _Inputs:
-    """A config's vocab, its split and eval corpus read on first use, and
-    each seed's params, trained here or read from its checkpoint; so one
-    command, or one sweep over every seed, reads each file once."""
+    """A config's vocab, and its split and eval corpus read on first use, so
+    one command, or one sweep over every seed, reads each file once; and each
+    seed's params, read from the checkpoint that ``train`` wrote."""
 
     def __init__(self, cfg: Config):
         from .corpus import LabelVocab, load_vocab
 
-        self.cfg, self.trained = cfg, {}
+        self.cfg = cfg
         self.vocab = load_vocab(cfg.vocab.path) if isinstance(cfg.vocab, VocabFile) else LabelVocab(cfg.vocab)
 
     @cached_property
@@ -303,23 +310,24 @@ class _Inputs:
             raise ConfigError(f"eval corpus at {path} is empty")
         return examples
 
+    def check_eval_width(self, n_in: int, taker: str) -> None:
+        if self.eval_set.X.shape[1] != n_in:
+            raise ConfigError(f"eval corpus at {self.eval_path} has {self.eval_set.X.shape[1]} features, "
+                              f"but {taker} takes {n_in}")
+
     def params(self, seed: int):
         """Seed ``seed``'s params, checked to take the eval corpus's features."""
         from .model import load_checkpoint, vocab_hash
 
-        params = self.trained.get(seed)
-        if params is None:
-            path = run_dir(self.cfg, seed) / "checkpoint.bin"
-            if not path.exists():
-                raise ConfigError(f"checkpoint not found at {path} (run train first?)")
-            params, header = load_checkpoint(path)
-            expected = vocab_hash(self.vocab.names)
-            if header["vocab_hash"] != expected:
-                raise ConfigError(f"checkpoint at {path} was trained on another vocab than {self.cfg.vocab} "
-                                  f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
-        if self.eval_set.X.shape[1] != params.n_in:
-            raise ConfigError(f"eval corpus at {self.eval_path} has {self.eval_set.X.shape[1]} features, "
-                              f"but the model of seed {seed} takes {params.n_in}")
+        path = run_dir(self.cfg, seed) / "checkpoint.bin"
+        if not path.exists():
+            raise ConfigError(f"checkpoint not found at {path} (run train first?)")
+        params, header = load_checkpoint(path)
+        expected = vocab_hash(self.vocab.names)
+        if header["vocab_hash"] != expected:
+            raise ConfigError(f"checkpoint at {path} was trained on another vocab than {self.cfg.vocab} "
+                              f"(vocab_hash {header['vocab_hash']}, now {expected}); run train again")
+        self.check_eval_width(params.n_in, f"the model of seed {seed}")
         return params
 
 
@@ -329,7 +337,6 @@ def cmd_train(cfg: Config, seed: int, inputs: _Inputs) -> dict:
 
     _one_blas_thread()
     params, log = run_strategy(build_strategy(cfg, seed), inputs.split, inputs.vocab)
-    inputs.trained[seed] = params
     out = run_dir(cfg, seed)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "checkpoint.bin", inputs.vocab.names, seed)
@@ -400,7 +407,7 @@ def cmd_calibrate(cfg: Config, seed: int, inputs: _Inputs) -> dict:
 
 
 def _run_seed(cfg: Config, seed: int, inputs: _Inputs) -> None:
-    """Train, eval and (if configured) calibrate one seed, keeping its params in memory."""
+    """Train, eval and (if configured) calibrate one seed, as the per-seed commands do."""
     for command in (cmd_train, cmd_eval) + ((cmd_calibrate,) if cfg.calibration is not None else ()):
         command(cfg, seed, inputs)
 
@@ -465,11 +472,14 @@ def cmd_sweep(cfg: Config) -> dict:
     build_strategy(cfg, cfg.seeds[0])  # check the whole config before the first seed runs
     if cfg.calibration is not None:
         build_calibration(cfg, inputs.vocab.size)
+    inputs.split, inputs.eval_set  # read once, here, before the first seed; forked workers inherit them
+    labelled = next((part for part in (inputs.split.singles, inputs.split.multis) if len(part)), None)
+    if labelled is not None:  # the set whose width run_strategy gives the model
+        inputs.check_eval_width(labelled.X.shape[1], "the split")
     n_workers = min(cfg.workers or len(cfg.seeds), len(cfg.seeds))  # a forking pool starts them all
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        inputs.split, inputs.eval_set  # read once, here; forked workers inherit them
         with ProcessPoolExecutor(n_workers, initializer=_init_sweep_worker, initargs=(inputs,)) as pool:
             list(pool.map(_sweep_worker, [cfg] * len(cfg.seeds), cfg.seeds))  # raises a worker's error
     else:

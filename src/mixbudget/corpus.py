@@ -264,14 +264,14 @@ def allocate_budget(pool: Corpus, plan: BudgetPlan, seed: int, vocab: LabelVocab
     equals ``plan.total_labels`` exactly.
 
     Multi examples are selected per ``plan.selection_strategy`` (random, or
-    ranked by the empirical entropy of each example's available
-    annotations), then exactly ``k_per_multi`` annotations are subsampled
-    uniformly without replacement per multi example and exactly 1 per
-    single example. Up to ``n_unlabeled`` leftover examples are kept with
-    their annotations stripped (ground-truth side channels are retained so
-    oracle evaluation stays possible). Deterministic given ``seed``: one
-    permutation, then one ``choice`` per multi and one ``integers`` per
-    single, in that order.
+    ranked by the entropy of each example's annotation frequencies, equal
+    entropies in permutation order), then exactly ``k_per_multi``
+    annotations are subsampled uniformly without replacement per multi
+    example and exactly 1 per single example. Up to ``n_unlabeled``
+    leftover examples are kept with their annotations stripped (ground-truth
+    side channels are retained so oracle evaluation stays possible).
+    Deterministic given ``seed``: one permutation, then one ``choice`` per
+    multi and one ``integers`` per single, in that order.
     """
     n_needed = plan.n_single + plan.n_multi
     if n_needed > len(pool):
@@ -285,11 +285,10 @@ def allocate_budget(pool: Corpus, plan: BudgetPlan, seed: int, vocab: LabelVocab
     else:
         from .metrics import entropy_rows
 
-        entropies = entropy_rows(pool.label_distribution(vocab.size))
-        ranked = order[np.argsort(entropies[order], kind="stable")]
-        if plan.selection_strategy == "high_entropy":
-            ranked = ranked[::-1]
-        multi_idx = ranked[: plan.n_multi]
+        # the entropy of the sorted frequencies, so that examples whose counts permute each other tie exactly
+        entropies = entropy_rows(np.sort(pool.label_distribution(vocab.size), axis=1))[order]
+        key = -entropies if plan.selection_strategy == "high_entropy" else entropies
+        multi_idx = order[np.argsort(key, kind="stable")[: plan.n_multi]]
         rest = order[~np.isin(order, multi_idx)]
 
     single_idx = rest[: plan.n_single]
@@ -309,7 +308,7 @@ def allocate_budget(pool: Corpus, plan: BudgetPlan, seed: int, vocab: LabelVocab
     picked = np.empty((len(multi_idx), k), dtype=np.int64)
     for row, n_i in enumerate(lengths[multi_idx].tolist()):
         picked[row] = rng.choice(n_i, size=k, replace=False)
-    chosen = np.array([rng.integers(n_i) for n_i in lengths[single_idx].tolist()], dtype=np.int64)
+    chosen = rng.integers(lengths[single_idx])
 
     def part(rows, positions, per_row):
         return pool.take(rows, pool.labels[positions.ravel()], np.arange(len(rows) + 1) * per_row)

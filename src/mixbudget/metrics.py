@@ -30,10 +30,7 @@ def _sum_plogq(P, Q, log=np.log) -> np.ndarray:
     Q = np.broadcast_to(np.asarray(Q, dtype=np.float64), P.shape)
     mask = P > 0
     ratio = np.where(mask, P, 1.0) / np.where(mask, Q, 1.0)
-    T = np.where(mask, P * log(ratio), 0.0)
-    # each row's value is the sum of its p > 0 terms alone, the entropy that allocate_budget ranks by: numpy
-    # adds fewer than 8 values in order, so zeros change nothing in a narrower row, but may in a wider one
-    return T.sum(axis=1) if T.shape[1] < 8 else np.array([row[m].sum() for row, m in zip(T, mask)])
+    return np.where(mask, P * log(ratio), 0.0).sum(axis=1)
 
 
 def entropy_rows(P) -> np.ndarray:

@@ -325,9 +325,9 @@ class TestSweep:
         assert log.read_text().split() == [str(os.getpid())] * 4
 
     def test_parallel_matches_serial(self, tmp_path):
-        # a sweep keeps params in memory and reads its inputs once (a
-        # parallel one in the parent); the per-seed commands read every
-        # artifact from disk: all three must write the same bytes
+        # a sweep reads its inputs once (a parallel one in the parent), then
+        # runs the per-seed commands' code; the per-seed commands read every
+        # artifact themselves: all three must write the same bytes
         serial = base_config(tmp_path, seeds=[0, 1], workers=1,
                              outdir=str(tmp_path / "serial"),
                              calibration={"method": "temp_scaling", "target_entropy": None})
@@ -633,6 +633,12 @@ class TestErrorPaths:
                                   "ConfigError: eval corpus not found at {tmp}/missing.jsonl"),
         "eval corpus empty": ("eval", {"eval_path": "{tmp}/empty.jsonl"}, (), (),
                               "ConfigError: eval corpus at {tmp}/empty.jsonl is empty"),
+        # a sweep reads and checks the eval corpus before the first seed trains
+        "sweep eval corpus not found": ("sweep", {"eval_path": "{tmp}/missing.jsonl"}, (), ("gen", "split"),
+                                        "ConfigError: eval corpus not found at {tmp}/missing.jsonl"),
+        "sweep eval corpus narrower": ("sweep", {"eval_path": "{tmp}/narrow.jsonl"}, (), ("gen", "split"),
+                                       "ConfigError: eval corpus at {tmp}/narrow.jsonl has 3 features, "
+                                       "but the split takes 4"),
         "report not found": ("report", {}, (), (),
                              "ConfigError: report not found at {run}/report.jsonl (run eval or sweep first?)"),
         "calibration on typing": ("calibrate", {"task": "typing", "calibration": {"method": "temp_scaling"}}, (),
@@ -654,6 +660,7 @@ class TestErrorPaths:
     def test_error_path(self, tmp_path, capsys, case):
         command, overrides, removed, before, expected = self.CASES[case]
         (tmp_path / "empty.jsonl").write_text("")
+        save_corpus(Corpus.from_rows(["n0"], np.zeros((1, 3)), [[0]]), tmp_path / "narrow.jsonl", VOCAB)
         cfg = base_config(tmp_path, **json.loads(json.dumps(overrides).replace("{tmp}", str(tmp_path))))
         for key in removed:
             del cfg[key]
@@ -668,6 +675,7 @@ class TestErrorPaths:
             places.update(pool=cli.data_dir(loaded) / "pool.jsonl", split=cli.split_dir(loaded),
                           run=cli.run_dir(loaded, 0))
         assert error_lines(capsys) == [{"error": expected.format(**places)}]
+        assert not [p for p in tmp_path.rglob("*") if p.name in ("checkpoint.bin", "trainlog.jsonl")]
 
     def test_config_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -825,6 +833,7 @@ class TestConfigChecks:
         case("sweep", "workers", "2"),
         case("sweep", "seeds", []),
         case("gen", "corpus.n_eval", -5),
+        case("split", "corpus.synthetic", MISSING, "corpus.n_eval"),  # n_eval with a file corpus
         case("split", "split_seed", -1),
         case("split", "split_seed", True),
         case("sweep", "histogram_bins", 0),
@@ -906,10 +915,16 @@ class TestConfigChecks:
         ("sweep", "strategy.hidden_sizes", [0], "StrategyError: strategy.hidden_sizes must each be >= 1, got [0]"),
         ("sweep", "strategy.hidden_sizes", [8, -1],
          "StrategyError: strategy.hidden_sizes must each be >= 1, got [8, -1]"),
+        # a corpus section has one source: synthetic settings or files
+        ("split", "corpus.pool", "pool.jsonl",
+         "ConfigError: corpus.pool cannot go with synthetic, from which gen writes the pool"),
+        ("split", "corpus.eval", "eval.jsonl", "ConfigError: corpus.eval cannot go with synthetic, from which gen "
+         "writes the eval corpus; eval_path sets another eval corpus"),
     ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic", "strategy.kind", "strategy.target_mode",
             "calibration.method", "plan.total_labels", "plan.selection_strategy", "corpus.synthetic.n_examples",
             "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat", "seeds", "strategy.lr<0",
-            "strategy.lr=0", "strategy.hidden_sizes=[0]", "strategy.hidden_sizes=[8,-1]"])
+            "strategy.lr=0", "strategy.hidden_sizes=[0]", "strategy.hidden_sizes=[8,-1]", "corpus.pool",
+            "corpus.eval"])
     def test_range_error_names_its_dotted_key(self, prepared, capsys, command, key, value, error):
         # the section's own check raises it; the loader prefixes the section's dotted name
         assert self.rejected(prepared, capsys, command, key, value, key) == error

@@ -64,7 +64,8 @@ def every_row(split):
 
 def reference_allocation(reservoirs, plan, seed, k_classes):
     """Budget allocation as one loop per example over plain lists: each
-    set's (pool row, annotations) in set order."""
+    set's (pool row, annotations) in set order. Entropy ranks the sorted
+    frequencies, so examples whose counts permute each other tie exactly."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(reservoirs))
     if plan.selection_strategy == "random":
@@ -74,12 +75,11 @@ def reference_allocation(reservoirs, plan, seed, k_classes):
         entropies = []
         for i in order:
             counts = np.bincount(reservoirs[i], minlength=k_classes).astype(np.float64)
-            dist = counts / counts.sum()
-            nz = dist[dist > 0]
-            entropies.append(float(-np.sum(nz * np.log(nz))))
-        ranked = order[np.argsort(np.array(entropies), kind="stable")]
-        if plan.selection_strategy == "high_entropy":
-            ranked = ranked[::-1]
+            freqs = np.sort(counts / counts.sum())
+            logs = np.log(freqs, out=np.zeros_like(freqs), where=freqs > 0)
+            entropies.append(float(-np.sum(freqs * logs)))
+        key = np.array(entropies)
+        ranked = order[np.argsort(-key if plan.selection_strategy == "high_entropy" else key, kind="stable")]
         multi_idx = ranked[: plan.n_multi]
         taken = set(multi_idx.tolist())
         rest = np.array([i for i in order if i not in taken], dtype=int)
@@ -251,6 +251,20 @@ class TestAllocateBudget:
             rows = [int(uid[1:]) for uid in part.uid]
             assert list(zip(rows, part.annotation_lists())) == expected[name], name
             assert np.array_equal(part.X, pool.X[rows])
+
+    def test_equal_entropy_keeps_the_permutation_order(self):
+        # the permutations of (1, 1, 5) have one entropy, which a float sum over unsorted counts splits by rounding
+        counts = [(7, 0, 0)] * 3 + [(1, 1, 5), (1, 5, 1), (5, 1, 1)] * 2 + [(2, 2, 3)] * 3
+        annotations = [[c for c, n in enumerate(row) for _ in range(n)] for row in counts]
+        pool = Corpus.from_rows([f"p{i}" for i in range(len(counts))], np.zeros((len(counts), 2)), annotations)
+        tied = set(range(3, 9))
+        for seed in range(8):
+            order = np.random.default_rng(seed).permutation(len(pool))
+            for selection, picked in (("low_entropy", range(0, 9)), ("high_entropy", range(3, 12))):
+                plan = BudgetPlan(63, 0, 9, 7, selection_strategy=selection)
+                rows = [int(uid[1:]) for uid in allocate_budget(pool, plan, seed, VOCAB).multis.uid]
+                assert sorted(rows) == list(picked), (seed, selection)
+                assert [i for i in rows if i in tied] == [i for i in order if i in tied], (seed, selection)
 
     def test_deterministic_given_seed(self):
         pool = make_pool(120)

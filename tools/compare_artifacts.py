@@ -2,10 +2,12 @@
 
 Runs ``gen -> split -> sweep -> report`` as ``python -m mixbudget``
 processes from each tree, on the ``perfbench`` CLI configs: the typing
-config, and the distribution config under five calibration settings
+config, the distribution config under five calibration settings
 (temperature scaling tuned, prediction smoothing tuned, training
 smoothing tuned, prediction smoothing fixed at 0.05, temperature scaling
-fixed at 2.0), each at ``workers`` 1 and 2. Both trees run in the same
+fixed at 2.0), and the distribution config with ``high_entropy``
+selection, which has a split of its own; each at ``workers`` 1 and 2.
+Both trees run in the same
 directory, one after the other, since the typing config's corpus paths
 enter its hashed directory names. Then it diffs every file the runs wrote
 and every exit code and stdout line. Run it from the repository root:
@@ -52,13 +54,16 @@ def run_tree(src: Path, out: Path, seed: int) -> list[str]:
         wdir.mkdir(parents=True)
         write_typing_corpus(wdir / "typing_pool.jsonl", wdir / "typing_eval.jsonl", seed)
         configs = cli_configs(seed, wdir)
+        dist = configs["distribution"]
+        variants = {name: {**dist, "calibration": calibration} for name, calibration in CALIBRATIONS.items()}
+        variants["high-entropy"] = {**dist, "plan": {**dist["plan"], "selection_strategy": "high_entropy"}}
+        variants["typing"] = configs["typing"]
         paths = {}
-        for name, calibration in [*CALIBRATIONS.items(), ("typing", None)]:
-            cfg = configs["typing"] if calibration is None else {**configs["distribution"], "calibration": calibration}
+        for name, cfg in variants.items():
             paths[name] = wdir / f"{name}.json"
             paths[name].write_text(json.dumps({**cfg, "workers": workers}), encoding="utf-8")
         first = paths["temp-tuned"]
-        commands = [("gen", first), ("split", first), ("split", paths["typing"])]
+        commands = [("gen", first)] + [("split", paths[name]) for name in ("temp-tuned", "high-entropy", "typing")]
         commands += [(command, path) for path in paths.values() for command in ("sweep", "report")]
         for command, path in commands:
             proc = subprocess.run([sys.executable, "-m", "mixbudget", command, "--config", str(path)],

@@ -7,6 +7,7 @@ in the test suite; no autodiff framework is involved.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from collections.abc import Callable
@@ -25,7 +26,8 @@ class ClassifierParams:
     """MLP weights/biases, held in one float64 vector ``flat`` laid out in
     ``arrays()`` order; ``weights[i]`` (shape (n_in, n_out)) and
     ``biases[i]`` are views into it. Hidden activations are tanh, the
-    final layer is raw logits."""
+    final layer is raw logits. A ``Workspace`` holds a copy in its own
+    dtype, ``Workspace.params``, for training steps."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -89,8 +91,15 @@ def init_params(
 # forward passes
 # ---------------------------------------------------------------------------
 
+def _floating(a) -> np.ndarray:
+    """``a`` as an array: float32 stays float32, anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 def _check_input(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
-    X = np.asarray(x, dtype=np.float64)
+    """Feature row(s) in the dtype of ``params.flat``."""
+    X = np.asarray(x, dtype=params.flat.dtype)
     if X.shape[-1] != params.n_in:
         raise ValueError(f"feature dim {X.shape[-1]} does not match model input {params.n_in}")
     return X
@@ -117,14 +126,14 @@ def forward_logits(params: ClassifierParams, x) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
+    z = _floating(logits)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
+    z = _floating(logits)
     # e = exp(-|z|) never overflows; min(z, -z) rather than -|z| keeps the
     # sign and payload of a NaN, so every output bit matches the two-branch
     # form 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) for z < 0
@@ -148,7 +157,8 @@ def forward_scores(params: ClassifierParams, x) -> np.ndarray:
 
 def batch_soft_cross_entropy(P: np.ndarray, T: np.ndarray):
     """Mean over rows (per group of a (groups, rows, k) stack) of
-    -sum_c T_c * ln(P_c), with P clamped at 1e-12.
+    -sum_c T_c * ln(P_c), with P clamped at 1e-12; float32 input is
+    reduced in float64.
 
     Equals KL(T || P) plus the target entropy, so its gradients in the
     model parameters are identical to the KL objective's.
@@ -167,7 +177,8 @@ def negative_weights(targets: np.ndarray) -> np.ndarray:
 def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray):
     """Mean over rows (per group of a stack), and over types within a row,
     of binary cross-entropy against multi-hot targets, negative terms
-    down-weighted by ``W_NEG``."""
+    down-weighted by ``W_NEG``. Reduced in float64, and clipped after the
+    upcast: in float32, 1 - 1e-12 rounds to 1."""
     S = np.clip(np.asarray(S, dtype=np.float64), PRED_CLAMP, 1.0 - PRED_CLAMP)
     Y = np.asarray(Y, dtype=np.float64)
     w = negative_weights(Y)
@@ -181,11 +192,12 @@ def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray):
 
 def threshold_types(S: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Multi-hot rows of the types scoring above ``threshold``; a row with
-    none falls back to its single best type, so no row is empty."""
+    none falls back to its single best type, so no row is empty. The rows
+    take the dtype of the scores."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    S = np.asarray(S, dtype=np.float64)
-    Y = (S > threshold).astype(np.float64)
+    S = _floating(S)
+    Y = (S > threshold).astype(S.dtype)
     empty = ~Y.any(axis=1)
     Y[empty, np.argmax(S[empty], axis=1)] = 1.0
     return Y
@@ -196,7 +208,8 @@ class Head:
     """One output head. ``activate`` maps logits to scores; ``loss`` and
     ``dlogits`` take (scores, targets), stacked (groups, rows, k),
     and give each group's mean loss and its gradient in the logits;
-    ``sharpen`` maps a 2-D score batch to hard targets (pseudo labels)."""
+    ``sharpen`` maps a 2-D score batch to hard targets (pseudo labels) of
+    the scores' dtype."""
 
     activate: Callable
     loss: Callable
@@ -210,7 +223,7 @@ HEADS = {
         loss=batch_soft_cross_entropy,
         # d(mean CE)/dlogits for targets summing to 1
         dlogits=lambda P, T: (P - T) / P.shape[-2],
-        sharpen=lambda P: np.eye(P.shape[1])[np.argmax(P, axis=1)],
+        sharpen=lambda P: np.eye(P.shape[1], dtype=P.dtype)[np.argmax(P, axis=1)],
     ),
     "sigmoid": Head(
         activate=sigmoid,
@@ -226,16 +239,26 @@ HEADS = {
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """``grad_batch``'s buffers for ``groups`` groups of ``batch_size`` rows, made once and reused:
-    each layer's output (groups, batch_size, width), a scratch block as large as the widest hidden
-    one, and one gradient per group laid out like ``params.flat``."""
+    """A training step's arrays in one ``dtype``, made once and reused: ``params``, a copy of the
+    master params whose ``flat`` is in ``dtype`` (``load`` refreshes it), and ``grad_batch``'s
+    buffers for ``groups`` groups of ``batch_size`` rows: each layer's output (groups, batch_size,
+    width), a scratch block as large as the widest hidden one, and one gradient per group laid out
+    like ``params.flat``."""
 
-    def __init__(self, params: ClassifierParams, batch_size: int, groups: int = 1):
+    def __init__(self, params: ClassifierParams, batch_size: int, groups: int = 1, dtype=np.float64):
         self.groups = groups
-        self.acts = [np.empty((groups, batch_size, W.shape[1])) for W in params.weights]
+        self.params = copy.copy(params)  # head and layout shared; flat and its views its own
+        self.params.flat = params.flat.astype(dtype)
+        views = params.views(self.params.flat)
+        self.params.weights, self.params.biases = views[0::2], views[1::2]
+        self.acts = [np.empty((groups, batch_size, W.shape[1]), dtype) for W in params.weights]
         widest = max((W.shape[0] for W in params.weights[1:]), default=0)
-        self.scratch = np.empty(groups * batch_size * widest)
-        self.grads = np.empty((groups, params.flat.size))
+        self.scratch = np.empty(groups * batch_size * widest, dtype)
+        self.grads = np.empty((groups, params.flat.size), dtype)
+
+    def load(self, params: ClassifierParams) -> None:
+        """Copy (and cast) the master ``params.flat`` into ``self.params.flat``."""
+        self.params.flat[:] = params.flat
 
 
 def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -261,13 +284,16 @@ def grad_batch(params: ClassifierParams, X, T, ws: Workspace | None = None) -> t
     of ``ws.groups`` equal groups of rows (one without ``ws``). Each group runs its own matmuls, so its
     results are bit for bit a lone batch's. Valid while predictions sit above the clamp, which holds
     everywhere the loss is finite anyway.
+
+    Runs in the dtype of ``params.flat``, with ``ws`` made in that dtype: float64 on the master
+    params, float32 on a float32 ``Workspace.params``. The losses are reduced in float64 either way.
     """
     head = HEADS[params.head]
     X = np.atleast_2d(_check_input(params, X))
-    T = np.atleast_2d(np.asarray(T, dtype=np.float64))
+    T = np.atleast_2d(np.asarray(T, dtype=X.dtype))
     if len(X) == 0:
         raise ValueError("empty batch")
-    ws = Workspace(params, len(X)) if ws is None else ws
+    ws = Workspace(params, len(X), dtype=params.flat.dtype) if ws is None else ws
     logits, acts = _forward_cached(params, X.reshape(ws.groups, -1, X.shape[1]), ws)
     S = head.activate(logits)
     T = T.reshape(S.shape)

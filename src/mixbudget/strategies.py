@@ -41,6 +41,10 @@ ETA = 1.0  # lambda ~ Beta(ETA, ETA), one draw per iteration shared by every ter
 ALPHA_MAX = 2.0  # the cross-term weight, reached after RAMP_ITERS iterations
 RAMP_ITERS = 100
 SET_NAMES = {"s": "singles", "m": "multis", "u": "unlabeled"}
+# Each step's forward, head and backward passes run in this dtype, on a copy of the float64 master
+# params: float32 halves the bytes every matmul and tanh moves. The master params and Adam's
+# moments stay float64, and so does everything run_strategy returns.
+TRAIN_DTYPE = np.float32
 
 # Each strategy is a list of phases: (phase, iterations field of the spec,
 # sampler, terms). The sampler is "pooled" (one batch from singles and
@@ -228,17 +232,18 @@ def composite_loss_and_grad(
     alpha: float,
     ws: Workspace | None = None,
 ):
-    """Total loss, gradient, and per-term components for one iteration, in
-    one ``grad_batch`` over ``apply_pairing``'s (terms, X, Y) and ``ws``.
+    """Total loss, float64 gradient, and per-term components for one
+    iteration, in one ``grad_batch`` over ``apply_pairing``'s (terms, X, Y)
+    and ``ws``, in the dtype of ``params``.
 
     total = sum(within terms) + alpha * sum(cross terms); every term is
     the mean batch loss on its mixed batch (soft cross-entropy for the
     softmax head, down-weighted BCE for the sigmoid head).
     """
     terms, X, Y = mixed
-    ws = Workspace(params, len(X) // len(terms), len(terms)) if ws is None else ws
+    ws = Workspace(params, len(X) // len(terms), len(terms), params.flat.dtype) if ws is None else ws
     losses, grads = grad_batch(params, X, Y, ws)
-    grad = np.zeros_like(params.flat)
+    grad = np.zeros(params.flat.size)
     total = 0.0
     components = {}
     for term, loss, g in zip(terms, losses, grads):
@@ -309,8 +314,12 @@ def run_strategy(
     ``spec.seed``. Runs the phases of ``STRATEGIES[spec.kind]`` in order,
     skipping phases with zero iterations. Each iteration draws one batch
     per sampler key (unlabeled rows pseudo-labeled), then, for a mixup
-    phase, lambda and the pairings."""
-    data = make_targets(split, vocab, spec)
+    phase, lambda and the pairings. Steps run in ``TRAIN_DTYPE`` on the
+    workspace's copy of the params, cast once per step; the float64 master
+    params are updated and returned."""
+    data = {key: None if part is None else part.astype(TRAIN_DTYPE) if key == "u"
+            else tuple(a.astype(TRAIN_DTYPE) for a in part)
+            for key, part in make_targets(split, vocab, spec).items()}
     sets_present = [k for k in ("s", "m") if data[k] is not None]
     if not sets_present:
         raise StrategyError(f"strategy {spec.kind} requires at least one labeled set")
@@ -325,21 +334,22 @@ def run_strategy(
     batch_size = spec.mixup.batch_size
     log: list[dict] = []
     for phase, iterations, draws, terms in phases:
-        ws = Workspace(params, batch_size, len(terms) or 1)
+        ws = Workspace(params, batch_size, len(terms) or 1, TRAIN_DTYPE)
         for it in range(iterations):
+            ws.load(params)  # the step's one cast, for its pseudo labels and its gradient
             batches = {}
             for key, draw in draws.items():
                 X, Y = draw(rng, batch_size)
-                batches[key] = (X, pseudo_label(params, X) if Y is None else Y)
+                batches[key] = (X, pseudo_label(ws.params, X) if Y is None else Y)
             if terms:
                 pairing = draw_pairing(rng, terms, batch_size)
                 alpha = ramp_alpha(it)
                 mixed = apply_pairing(batches, pairing)
-                loss, grad, comps = composite_loss_and_grad(params, mixed, alpha, ws)
+                loss, grad, comps = composite_loss_and_grad(ws.params, mixed, alpha, ws)
             else:
                 ((X, Y),) = batches.values()
-                (loss,), (grad,) = grad_batch(params, X, Y, ws)
-                loss, alpha, comps = float(loss), 0.0, {}
+                (loss,), (grad,) = grad_batch(ws.params, X, Y, ws)
+                loss, grad, alpha, comps = float(loss), grad.astype(np.float64), 0.0, {}
             _abort_if_not_finite(loss, grad, it, log)
             adam_step(params, adam, grad)
             log.append({"iter": it, "phase": phase, "alpha": alpha, "loss": loss, **comps})

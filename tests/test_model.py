@@ -8,10 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mixbudget.corpus import SyntheticConfig, generate_synthetic_pool
+from mixbudget.corpus import BudgetPlan, LabelVocab, SyntheticConfig, allocate_budget, generate_synthetic_pool
 from mixbudget.model import (
     HEADS,
     ClassifierParams,
+    Workspace,
     adam_step,
     batch_multilabel_bce,
     batch_soft_cross_entropy,
@@ -23,8 +24,12 @@ from mixbudget.model import (
     load_checkpoint,
     save_checkpoint,
     sigmoid,
+    softmax,
     threshold_types,
 )
+from mixbudget.strategies import MixupConfig, StrategySpec, run_strategy
+
+F32_TOL = 32 * np.finfo(np.float32).eps  # float32 against float64: a few float32 roundings, not float64's
 
 
 def identity_net(k, head="softmax"):
@@ -83,6 +88,13 @@ class TestForwardSoftmax:
         params = init_params(4, (8,), 3, seed=0)
         with pytest.raises(ValueError, match="feature dim"):
             forward_softmax(params, np.zeros(5))
+
+    def test_heads_keep_float32_and_widen_the_rest(self):
+        z = np.random.default_rng(2).normal(scale=4.0, size=(6, 5))
+        for activate in (softmax, sigmoid):
+            assert activate(z.astype(np.float32)).dtype == np.float32
+            assert activate(z.astype(np.float16)).dtype == np.float64
+            assert activate(np.arange(5)).dtype == np.float64
 
 
 class TestSoftCrossEntropy:
@@ -145,6 +157,45 @@ class TestGradBatch:
         params = init_params(3, (6,), 3, seed=2)
         with pytest.raises(ValueError, match="empty batch"):
             grad_batch(params, np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+class TestMixedPrecision:
+    """A float32 ``Workspace`` runs the step in float32 on its own copy of the float64 master params."""
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_float32_gradient_matches_float64_and_leaves_the_master(self, head):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            params = init_params(6, (16, 8), 5, head, seed=trial)
+            X = rng.normal(size=(32, 6))
+            if head == "softmax":
+                T = rng.dirichlet(np.ones(5), size=32)
+            else:
+                T = (rng.random((32, 5)) < 0.4).astype(np.float64)
+            master = params.flat.copy()
+            ws = Workspace(params, 32, dtype=np.float32)
+            ws.load(params)
+            (loss32,), (g32,) = grad_batch(ws.params, X, T, ws)
+            assert params.flat.dtype == np.float64 and np.array_equal(params.flat, master)
+            (loss64,), (g64,) = grad_batch(params, X, T)
+            assert g32.dtype == np.float32 and g64.dtype == np.float64
+            assert loss32.dtype == np.float64  # the loss is reduced in float64 either way
+            assert np.abs(g32 - g64).max() <= F32_TOL * np.abs(g64).max()
+            assert loss32 == pytest.approx(loss64, rel=F32_TOL)
+
+    def test_training_returns_float64_params_and_an_f8_checkpoint(self, tmp_path):
+        vocab = LabelVocab(("E", "N", "C"))
+        pool = generate_synthetic_pool(SyntheticConfig(n_examples=80, k_classes=3, d_feat=4, seed=5))
+        split = allocate_budget(pool, BudgetPlan(40, 20, 2, 10, n_unlabeled=30), seed=0, vocab=vocab)
+        spec = StrategySpec(kind="mixup_smu", iterations_main=5, hidden_sizes=(8,),
+                            mixup=MixupConfig(batch_size=8))
+        params, _ = run_strategy(spec, split, vocab)
+        assert all(a.dtype == np.float64 for a in [params.flat, *params.arrays()])
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path, vocab.names, seed=0)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert len(body) == 8 * params.flat.size
+        assert np.array_equal(np.frombuffer(body, dtype="<f8"), params.flat)
 
 
 class TestAdam:
@@ -222,10 +273,13 @@ class TestMultilabelHead:
         S = forward_scores(params, rng.normal(size=(30, 6)))
         assert np.all(S > 0) and np.all(S < 1)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @settings(max_examples=200, deadline=None)
     @given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40)
            .map(lambda v: np.array(v + [0.0, -0.0, 800.0, -800.0, math.inf, -math.inf, math.nan])))
-    def test_sigmoid_equals_two_branch_form(self, z):
+    def test_sigmoid_equals_two_branch_form(self, dtype, z):
+        with np.errstate(over="ignore"):  # float64 beyond float32's range casts to inf
+            z = z.astype(dtype)
         # reference: the two-branch form, exp taken only where it cannot overflow
         want = np.empty_like(z)
         pos = z >= 0
@@ -237,14 +291,25 @@ class TestMultilabelHead:
             got = sigmoid(z)
             batch = sigmoid(np.tile(z, (3, 1)))
         # bit for bit, NaN sign and payload included
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(batch.view(np.uint64), np.tile(want, (3, 1)).view(np.uint64))
+        bits = f"u{want.itemsize}"
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(bits), want.view(bits))
+        assert np.array_equal(batch.view(bits), np.tile(want, (3, 1)).view(bits))
 
     def test_bce_perfect_prediction(self):
         scores = np.array([[1 - 1e-12, 1e-12, 1e-12]])
         assert batch_multilabel_bce(scores, np.array([[1.0, 0.0, 0.0]])) == pytest.approx(
             0.0, abs=1e-9
         )
+
+    def test_bce_finite_on_float32_scores_of_one(self):
+        # 1 - 1e-12 rounds to 1 in float32, so clipping before the float64 upcast
+        # would leave log(1 - S) = -inf on these scores
+        S = np.ones((2, 3), dtype=np.float32)
+        Y = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        loss = batch_multilabel_bce(S, Y)
+        assert np.isfinite(loss)
+        assert loss == batch_multilabel_bce(S.astype(np.float64), Y)
 
     def test_bce_single_positive_at_half(self):
         assert batch_multilabel_bce(np.array([[0.5]]), np.array([[1.0]])) == pytest.approx(

@@ -13,6 +13,7 @@ from mixbudget.corpus import Corpus, CorpusSplit, LabelVocab
 from mixbudget.model import (
     HEADS,
     ClassifierParams,
+    Workspace,
     batch_soft_cross_entropy,
     forward_scores,
     forward_softmax,
@@ -327,29 +328,33 @@ class TestCompositeGradient:
 
 class TestStackedStep:
     """One grad_batch over every term's stacked rows gives, bit for bit, what
-    one grad_batch per term summed in canonical term order gives."""
+    one grad_batch per term summed in canonical term order gives, in either
+    workspace dtype: the batched matmul runs each group as its own 2-D call."""
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @settings(max_examples=60, deadline=None)
     @given(head=st.sampled_from(sorted(HEADS)), hidden=st.lists(st.integers(1, 9), max_size=3),
            terms=st.lists(st.sampled_from(list(TERMS)), min_size=1, max_size=5, unique=True),
            B=st.integers(1, 64), lam=st.floats(0.0, 1.0), alpha=st.floats(0.0, 4.0),
            seed=st.integers(0, 2**16))
-    def test_matches_the_per_term_loop(self, head, hidden, terms, B, lam, alpha, seed):
+    def test_matches_the_per_term_loop(self, dtype, head, hidden, terms, B, lam, alpha, seed):
         rng = np.random.default_rng(seed)
         d, k = 5, 4
-        params = init_params(d, tuple(hidden), k, head, seed)
+        params = Workspace(init_params(d, tuple(hidden), k, head, seed), B, dtype=dtype).params
 
         def targets():
             if head == "softmax":
                 return rng.dirichlet(np.ones(k), size=B)
             return (rng.random((B, k)) < 0.4).astype(np.float64)
 
-        batches = {key: (rng.normal(size=(B, d)), targets()) for key in ("m", "s", "u")}
+        # in the workspace dtype, as run_strategy casts its sets, so the mixing runs in it too
+        batches = {key: (rng.normal(size=(B, d)).astype(dtype), targets().astype(dtype))
+                   for key in ("m", "s", "u")}
         pairing = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B)
         pairing.lam = lam
         total, grad, comps = composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)
 
-        ref_total, ref_grad, ref_comps = 0.0, np.zeros_like(params.flat), {}
+        ref_total, ref_grad, ref_comps = 0.0, np.zeros(params.flat.size), {}
         for term, (idx_a, idx_b) in pairing.term_pairs.items():
             set_a, set_b = TERMS[term]
             (Xa, Ya), (Xb, Yb) = batches[set_a], batches[set_b]
@@ -361,7 +366,7 @@ class TestStackedStep:
             ref_grad += weight * g
         assert comps == ref_comps
         assert total == ref_total
-        assert np.array_equal(grad, ref_grad)
+        assert grad.dtype == np.float64 and np.array_equal(grad, ref_grad)
 
 
 class TestRunStrategy:

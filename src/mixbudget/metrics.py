@@ -18,6 +18,7 @@ import numpy as np
 from .atomic import atomic_write
 
 KL_CLAMP = 1e-10
+HIST_BINS = 20  # equal-width entropy bins of a report's histogram
 
 
 class MetricsError(ValueError):
@@ -53,17 +54,15 @@ def jsd_rows(P, Q) -> np.ndarray:
     return np.clip(0.5 * _sum_plogq(P, M, np.log2) + 0.5 * _sum_plogq(Q, M, np.log2), 0.0, 1.0)
 
 
-def entropy_bin_edges(k_classes: int, n_bins: int = 20) -> np.ndarray:
-    return np.linspace(0.0, np.log(k_classes), n_bins + 1)
+def entropy_bin_edges(k_classes: int) -> np.ndarray:
+    return np.linspace(0.0, np.log(k_classes), HIST_BINS + 1)
 
 
-def entropy_histogram(dists, k_classes: int, n_bins: int = 20) -> np.ndarray:
-    """Counts of per-distribution entropies over ``n_bins`` equal-width
+def entropy_histogram(dists, k_classes: int) -> np.ndarray:
+    """Counts of per-distribution entropies over ``HIST_BINS`` equal-width
     bins on [0, ln k]; the last bin is right-inclusive."""
-    if n_bins < 1:
-        raise MetricsError("n_bins must be >= 1")
     H = entropy_rows(dists)
-    edges = entropy_bin_edges(k_classes, n_bins)
+    edges = entropy_bin_edges(k_classes)
     H = np.clip(H, edges[0], edges[-1])  # guard float spill past ln k
     counts, _ = np.histogram(H, bins=edges)
     return counts

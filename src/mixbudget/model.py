@@ -240,7 +240,7 @@ HEADS = {
 
 class Workspace:
     """A training step's arrays in one ``dtype``, made once and reused: ``params``, a copy of the
-    master params whose ``flat`` is in ``dtype`` (``load`` refreshes it), and ``grad_batch``'s
+    master params whose ``flat`` is in ``dtype`` (the caller refreshes it), and ``grad_batch``'s
     buffers for ``groups`` groups of ``batch_size`` rows: each layer's output (groups, batch_size,
     width), a scratch block as large as the widest hidden one, and one gradient per group laid out
     like ``params.flat``."""
@@ -255,10 +255,6 @@ class Workspace:
         widest = max((W.shape[0] for W in params.weights[1:]), default=0)
         self.scratch = np.empty(groups * batch_size * widest, dtype)
         self.grads = np.empty((groups, params.flat.size), dtype)
-
-    def load(self, params: ClassifierParams) -> None:
-        """Copy (and cast) the master ``params.flat`` into ``self.params.flat``."""
-        self.params.flat[:] = params.flat
 
 
 def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -315,11 +311,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray  # (2, n_params)
+    lr: float
     step: int = 0
-    lr: float = 1e-5
 
 
-def init_adam(params: ClassifierParams, lr: float = 1e-5) -> AdamState:
+def init_adam(params: ClassifierParams, lr: float) -> AdamState:
     n = params.flat.size
     return AdamState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, n)), lr=lr)
 

@@ -50,8 +50,8 @@ TRAIN_DTYPE = np.float32
 # sampler, terms). The sampler is "pooled" (one batch from singles and
 # multis together), "upsampled" (each slot an even coin flip between the
 # two), or the set keys to draw one batch each from, in draw order. A
-# phase with no terms trains on its one batch unmixed; otherwise it sums
-# the listed interpolation terms.
+# phase with no terms trains on its one batch unmixed, as one unit-weight
+# group; otherwise it sums the listed interpolation terms.
 STRATEGIES = {
     "ce_combined": [(1, "iterations_main", "pooled", ())],
     "ce_upsampling": [(1, "iterations_main", "upsampled", ())],
@@ -158,25 +158,12 @@ def make_targets(split: CorpusSplit, vocab: LabelVocab, spec: StrategySpec) -> d
 
 
 # ---------------------------------------------------------------------------
-# interpolation primitives
+# one training step
 # ---------------------------------------------------------------------------
-
-def mix_batches(batch_a, batch_b, lam: float):
-    """Row-wise convex combinations of two equal-size (X, Y) batches."""
-    if not 0.0 <= lam <= 1.0:
-        raise StrategyError(f"lambda must lie in [0, 1], got {lam}")
-    Xa, Ya = batch_a
-    Xb, Yb = batch_b
-    if Xa.shape != Xb.shape or Ya.shape != Yb.shape:
-        raise StrategyError("mixed batches must share shapes")
-    return lam * Xa + (1.0 - lam) * Xb, lam * Ya + (1.0 - lam) * Yb
-
 
 def ramp_alpha(iteration: int) -> float:
     """Cross-term weight: linear from 0 to ``ALPHA_MAX`` over the first
     ``RAMP_ITERS`` iterations, flat afterwards."""
-    if iteration < 0:
-        raise StrategyError("iteration must be >= 0")
     return min(1.0, iteration / RAMP_ITERS) * ALPHA_MAX
 
 
@@ -188,17 +175,10 @@ def pseudo_label(params: ClassifierParams, x_u) -> np.ndarray:
     return HEADS[params.head].sharpen(np.atleast_2d(scores)).reshape(scores.shape)
 
 
-@dataclass
-class MixPairing:
-    """Index plan for one interpolation iteration: a shared lambda plus,
-    per loss term, the row orders of the two batches being paired."""
-
-    lam: float
-    term_pairs: dict[str, tuple[np.ndarray, np.ndarray]]
-
-
-def draw_pairing(rng: np.random.Generator, terms, batch_size: int) -> MixPairing:
-    """Draw one iteration's lambda and pairings.
+def draw_pairing(rng: np.random.Generator, terms, batch_size: int) -> tuple[float, dict]:
+    """One interpolation iteration's (lambda, {term: (rows_a, rows_b)}):
+    a lambda shared by every term, and per term the row orders of the two
+    batches it pairs.
 
     Draw order is fixed for reproducibility: lambda first, then per term
     (in the strategy's canonical order) one permutation for within-set
@@ -210,20 +190,20 @@ def draw_pairing(rng: np.random.Generator, terms, batch_size: int) -> MixPairing
         set_a, set_b = TERMS[term]
         first = np.arange(batch_size) if set_a == set_b else rng.permutation(batch_size)
         pairs[term] = (first, rng.permutation(batch_size))
-    return MixPairing(lam=lam, term_pairs=pairs)
+    return lam, pairs
 
 
-def apply_pairing(batches: dict, pairing: MixPairing) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """(terms, X, Y): the mixed batch of every term in the pairing, stacked
-    in its term order, each side gathered by one index over all batches."""
+def apply_pairing(batches: dict, pairing: tuple[float, dict]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """(terms, X, Y): every term's row-wise convex combination
+    ``lam * a + (1 - lam) * b`` of its two batches, stacked in its term
+    order, each side gathered by one index over all batches."""
+    lam, pairs = pairing
     keys = list(batches)
     starts = dict(zip(keys, np.cumsum([0] + [len(batches[k][0]) for k in keys])))
-    X = np.concatenate([batches[k][0] for k in keys])
-    Y = np.concatenate([batches[k][1] for k in keys])
-    pairs = pairing.term_pairs
     idx_a = np.concatenate([starts[TERMS[term][0]] + a for term, (a, _) in pairs.items()])
     idx_b = np.concatenate([starts[TERMS[term][1]] + b for term, (_, b) in pairs.items()])
-    return (tuple(pairs), *mix_batches((X[idx_a], Y[idx_a]), (X[idx_b], Y[idx_b]), pairing.lam))
+    X, Y = (np.concatenate([batches[k][i] for k in keys]) for i in (0, 1))
+    return tuple(pairs), lam * X[idx_a] + (1.0 - lam) * X[idx_b], lam * Y[idx_a] + (1.0 - lam) * Y[idx_b]
 
 
 def composite_loss_and_grad(
@@ -233,25 +213,25 @@ def composite_loss_and_grad(
     ws: Workspace | None = None,
 ):
     """Total loss, float64 gradient, and per-term components for one
-    iteration, in one ``grad_batch`` over ``apply_pairing``'s (terms, X, Y)
-    and ``ws``, in the dtype of ``params``.
+    iteration, in one ``grad_batch`` over (terms, X, Y) and ``ws``, in the
+    dtype of ``params``. ``apply_pairing`` gives the mixed terms; with
+    ``terms == ()`` the rows are one unmixed group of weight 1 and there
+    are no components.
 
     total = sum(within terms) + alpha * sum(cross terms); every term is
     the mean batch loss on its mixed batch (soft cross-entropy for the
-    softmax head, down-weighted BCE for the sigmoid head).
+    softmax head, down-weighted BCE for the sigmoid head). Each weighted
+    term gradient is formed in the gradients' dtype and summed in float64,
+    in term order.
     """
     terms, X, Y = mixed
-    ws = Workspace(params, len(X) // len(terms), len(terms), params.flat.dtype) if ws is None else ws
+    groups = len(terms) or 1
+    ws = Workspace(params, len(X) // groups, groups, params.flat.dtype) if ws is None else ws
     losses, grads = grad_batch(params, X, Y, ws)
-    grad = np.zeros(params.flat.size)
-    total = 0.0
-    components = {}
-    for term, loss, g in zip(terms, losses, grads):
-        set_a, set_b = TERMS[term]
-        weight = 1.0 if set_a == set_b else alpha
-        components[term] = float(loss)
-        total += weight * components[term]
-        grad += weight * g
+    weights = [1.0 if TERMS[term][0] == TERMS[term][1] else alpha for term in terms] or [1.0]
+    components = dict(zip(terms, map(float, losses)))
+    total = sum(weight * float(loss) for weight, loss in zip(weights, losses))
+    grad = (np.array(weights, grads.dtype)[:, None] * grads).astype(np.float64).sum(axis=0)
     return total, grad, components
 
 
@@ -314,9 +294,10 @@ def run_strategy(
     ``spec.seed``. Runs the phases of ``STRATEGIES[spec.kind]`` in order,
     skipping phases with zero iterations. Each iteration draws one batch
     per sampler key (unlabeled rows pseudo-labeled), then, for a mixup
-    phase, lambda and the pairings. Steps run in ``TRAIN_DTYPE`` on the
-    workspace's copy of the params, cast once per step; the float64 master
-    params are updated and returned."""
+    phase, lambda and the pairings, and takes one ``composite_loss_and_grad``
+    step; a phase without terms is one unit-weight group. Steps run in
+    ``TRAIN_DTYPE`` on the workspace's copy of the params, cast once per
+    step; the float64 master params are updated and returned."""
     data = {key: None if part is None else part.astype(TRAIN_DTYPE) if key == "u"
             else tuple(a.astype(TRAIN_DTYPE) for a in part)
             for key, part in make_targets(split, vocab, spec).items()}
@@ -336,20 +317,17 @@ def run_strategy(
     for phase, iterations, draws, terms in phases:
         ws = Workspace(params, batch_size, len(terms) or 1, TRAIN_DTYPE)
         for it in range(iterations):
-            ws.load(params)  # the step's one cast, for its pseudo labels and its gradient
+            ws.params.flat[:] = params.flat  # the step's one cast, for its pseudo labels and its gradient
             batches = {}
             for key, draw in draws.items():
                 X, Y = draw(rng, batch_size)
                 batches[key] = (X, pseudo_label(ws.params, X) if Y is None else Y)
             if terms:
-                pairing = draw_pairing(rng, terms, batch_size)
-                alpha = ramp_alpha(it)
-                mixed = apply_pairing(batches, pairing)
-                loss, grad, comps = composite_loss_and_grad(ws.params, mixed, alpha, ws)
+                mixed, alpha = apply_pairing(batches, draw_pairing(rng, terms, batch_size)), ramp_alpha(it)
             else:
                 ((X, Y),) = batches.values()
-                (loss,), (grad,) = grad_batch(ws.params, X, Y, ws)
-                loss, grad, alpha, comps = float(loss), grad.astype(np.float64), 0.0, {}
+                mixed, alpha = ((), X, Y), 0.0
+            loss, grad, comps = composite_loss_and_grad(ws.params, mixed, alpha, ws)
             _abort_if_not_finite(loss, grad, it, log)
             adam_step(params, adam, grad)
             log.append({"iter": it, "phase": phase, "alpha": alpha, "loss": loss, **comps})

@@ -43,7 +43,6 @@ from mixbudget.model import (
     softmax,
 )
 from mixbudget.strategies import (
-    MixPairing,
     MixupConfig,
     StrategySpec,
     apply_pairing,
@@ -113,7 +112,7 @@ def corpus_bundle():
         evalset=evalset,
         X=X,
         true_mean_entropy=float(np.mean([entropy(d) for d in true_dists])),
-        true_hist=entropy_histogram(true_dists, 3, 20),
+        true_hist=entropy_histogram(true_dists, 3),
     )
 
 
@@ -267,7 +266,7 @@ def test_criterion_3_mixup_degeneracies():
         return float(-np.mean(np.sum(Y * np.log(P), axis=1)))
 
     for lam, side in ((1.0, 0), (0.0, 1)):
-        tb = apply_pairing(batches, MixPairing(lam=lam, term_pairs=term_pairs))
+        tb = apply_pairing(batches, (lam, term_pairs))
         _, _, comps = composite_loss_and_grad(params, tb, alpha=0.8)
         for term, loss in comps.items():
             expected = plain_ce(sides[term][side])

@@ -13,6 +13,7 @@ from mixbudget.calibrate import temp_scale
 from mixbudget.cli import read_report_summary
 from mixbudget.corpus import Corpus
 from mixbudget.metrics import (
+    HIST_BINS,
     MetricsError,
     entropy_histogram,
     entropy_rows,
@@ -207,13 +208,13 @@ class TestWideRows:
 class TestEntropyHistogram:
     def test_one_hot_lands_in_first_bin(self):
         assert entropy([1.0, 0.0, 0.0]) == 0.0
-        counts = entropy_histogram([[1.0, 0.0, 0.0]], 3, n_bins=20)
+        counts = entropy_histogram([[1.0, 0.0, 0.0]], 3)
         assert counts[0] == 1 and counts.sum() == 1
 
     def test_uniform_lands_in_last_bin(self):
         u = [1 / 3] * 3
         assert entropy(u) == pytest.approx(math.log(3), abs=1e-12)
-        counts = entropy_histogram([u], 3, n_bins=20)
+        counts = entropy_histogram([u], 3)
         assert counts[-1] == 1
 
     def test_fixture_binning_matches_hand_assignment(self):
@@ -222,13 +223,12 @@ class TestEntropyHistogram:
             [1.0, 0.0], [0.999, 0.001], [0.95, 0.05], [0.9, 0.1], [0.8, 0.2],
             [0.75, 0.25], [0.7, 0.3], [0.6, 0.4], [0.55, 0.45], [0.5, 0.5],
         ]
-        n_bins = 4
-        counts = entropy_histogram(dists, 2, n_bins=n_bins)
-        width = math.log(2) / n_bins
-        expected = [0] * n_bins
+        counts = entropy_histogram(dists, 2)
+        width = math.log(2) / HIST_BINS
+        expected = [0] * HIST_BINS
         for d in dists:
             h = -sum(x * math.log(x) for x in d if x > 0)
-            expected[min(int(h / width), n_bins - 1)] += 1
+            expected[min(int(h / width), HIST_BINS - 1)] += 1
         assert counts.tolist() == expected
         assert counts.sum() == len(dists)
 

@@ -174,7 +174,7 @@ class TestMixedPrecision:
                 T = (rng.random((32, 5)) < 0.4).astype(np.float64)
             master = params.flat.copy()
             ws = Workspace(params, 32, dtype=np.float32)
-            ws.load(params)
+            ws.params.flat[:] = params.flat
             (loss32,), (g32,) = grad_batch(ws.params, X, T, ws)
             assert params.flat.dtype == np.float64 and np.array_equal(params.flat, master)
             (loss64,), (g64,) = grad_batch(params, X, T)

@@ -23,7 +23,6 @@ from mixbudget.model import (
 from mixbudget import strategies
 from mixbudget.strategies import (
     TERMS,
-    MixPairing,
     MixupConfig,
     StrategyError,
     StrategySpec,
@@ -31,7 +30,6 @@ from mixbudget.strategies import (
     composite_loss_and_grad,
     draw_pairing,
     make_targets,
-    mix_batches,
     pseudo_label,
     ramp_alpha,
     run_strategy,
@@ -118,26 +116,32 @@ class TestMakeTargets:
 
 
 class TestMixPair:
+    """``apply_pairing`` mixes each term's two sides row by row as
+    ``lam * a + (1 - lam) * b``."""
+
+    @staticmethod
+    def mix(a, b, lam):
+        # one within-set term pairing a's rows with b's, stacked in one set
+        n = len(a[0])
+        batches = {"s": (np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]))}
+        terms, xm, ym = apply_pairing(batches, (lam, {"L_ss": (np.arange(n), n + np.arange(n))}))
+        assert terms == ("L_ss",)
+        return xm, ym
+
     def test_endpoints_exact(self):
         a = (np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]))
         b = (np.array([[-3.0, 5.0]]), np.array([[0.0, 1.0]]))
-        xm, ym = mix_batches(a, b, 1.0)
+        xm, ym = self.mix(a, b, 1.0)
         assert np.array_equal(xm, a[0]) and np.array_equal(ym, a[1])
-        xm, ym = mix_batches(a, b, 0.0)
+        xm, ym = self.mix(a, b, 0.0)
         assert np.array_equal(xm, b[0]) and np.array_equal(ym, b[1])
 
     def test_midpoint(self):
         a = (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
         b = (np.array([[0.0, 1.0]]), np.array([[0.0, 1.0, 0.0]]))
-        xm, ym = mix_batches(a, b, 0.5)
+        xm, ym = self.mix(a, b, 0.5)
         assert np.allclose(xm, [[0.5, 0.5]])
         assert np.allclose(ym, [[0.5, 0.5, 0.0]])
-
-    def test_lambda_out_of_range(self):
-        a = (np.zeros((1, 2)), np.array([[1.0, 0.0]]))
-        for lam in (-0.1, 1.5):
-            with pytest.raises(StrategyError, match="lambda"):
-                mix_batches(a, a, lam)
 
     def test_target_normalization_preserved(self):
         rng = np.random.default_rng(2)
@@ -146,7 +150,7 @@ class TestMixPair:
             Yb = rng.dirichlet(np.ones(4), size=3)
             Xa = rng.normal(size=(3, 2))
             lam = float(rng.random())
-            _, Ym = mix_batches((Xa, Ya), (Xa, Yb), lam)
+            _, Ym = self.mix((Xa, Ya), (Xa, Yb), lam)
             assert np.allclose(Ym.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -208,7 +212,7 @@ class TestLambdaDistribution:
     def test_uniform_for_unit_eta(self):
         rng = np.random.default_rng(17)
         assert strategies.ETA == 1.0
-        draws = np.array([draw_pairing(rng, (), 1).lam for _ in range(100_000)])
+        draws = np.array([draw_pairing(rng, (), 1)[0] for _ in range(100_000)])
         draws.sort()
         n = len(draws)
         grid = np.arange(1, n + 1) / n
@@ -235,7 +239,7 @@ class TestMixupDegeneracies:
         return batch_soft_cross_entropy(forward_softmax(self.params, X), Y)
 
     def test_lambda_one_reduces_to_plain_ce(self):
-        pairing = MixPairing(lam=1.0, term_pairs=self.pairing_idx)
+        pairing = (1.0, self.pairing_idx)
         tb = apply_pairing(self.batches, pairing)
         _, _, comps = composite_loss_and_grad(self.params, tb, alpha=1.3)
         assert comps["L_ss"] == pytest.approx(self.plain_ce("s"), abs=1e-9)
@@ -243,7 +247,7 @@ class TestMixupDegeneracies:
         assert comps["L_sm"] == pytest.approx(self.plain_ce("s"), abs=1e-9)
 
     def test_lambda_zero_reduces_to_plain_ce_on_other_side(self):
-        pairing = MixPairing(lam=0.0, term_pairs=self.pairing_idx)
+        pairing = (0.0, self.pairing_idx)
         tb = apply_pairing(self.batches, pairing)
         _, _, comps = composite_loss_and_grad(self.params, tb, alpha=0.4)
         assert comps["L_ss"] == pytest.approx(self.plain_ce("s"), abs=1e-9)
@@ -262,9 +266,9 @@ class TestHandComputedComposite:
         xm = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         ym = [np.array([0.5, 0.5]), np.array([0.25, 0.75])]
         batches = {"s": (np.stack(xs), np.stack(ys)), "m": (np.stack(xm), np.stack(ym))}
-        pairing = MixPairing(
-            lam=0.5,
-            term_pairs={
+        pairing = (
+            0.5,
+            {
                 "L_ss": (np.array([0, 1]), np.array([1, 0])),
                 "L_mm": (np.array([0, 1]), np.array([1, 0])),
                 "L_sm": (np.array([0, 1]), np.array([0, 1])),
@@ -350,15 +354,14 @@ class TestStackedStep:
         # in the workspace dtype, as run_strategy casts its sets, so the mixing runs in it too
         batches = {key: (rng.normal(size=(B, d)).astype(dtype), targets().astype(dtype))
                    for key in ("m", "s", "u")}
-        pairing = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B)
-        pairing.lam = lam
-        total, grad, comps = composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)
+        _, pairs = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B)
+        total, grad, comps = composite_loss_and_grad(params, apply_pairing(batches, (lam, pairs)), alpha)
 
         ref_total, ref_grad, ref_comps = 0.0, np.zeros(params.flat.size), {}
-        for term, (idx_a, idx_b) in pairing.term_pairs.items():
+        for term, (idx_a, idx_b) in pairs.items():
             set_a, set_b = TERMS[term]
             (Xa, Ya), (Xb, Yb) = batches[set_a], batches[set_b]
-            Xm, Ym = mix_batches((Xa[idx_a], Ya[idx_a]), (Xb[idx_b], Yb[idx_b]), lam)
+            Xm, Ym = lam * Xa[idx_a] + (1.0 - lam) * Xb[idx_b], lam * Ya[idx_a] + (1.0 - lam) * Yb[idx_b]
             (loss,), (g,) = grad_batch(params, Xm, Ym)
             weight = 1.0 if set_a == set_b else alpha
             ref_comps[term] = float(loss)
@@ -367,6 +370,23 @@ class TestStackedStep:
         assert comps == ref_comps
         assert total == ref_total
         assert grad.dtype == np.float64 and np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_no_terms_is_one_unit_weight_group(self, dtype, head):
+        # a phase without terms: the step is its one grad_batch, the loss a float, the gradient widened
+        rng = np.random.default_rng(8)
+        params = Workspace(init_params(5, (6, 3), 4, head, 8), 16, dtype=dtype).params
+        X = rng.normal(size=(16, 5)).astype(dtype)
+        if head == "softmax":
+            Y = rng.dirichlet(np.ones(4), size=16).astype(dtype)
+        else:
+            Y = (rng.random((16, 4)) < 0.4).astype(dtype)
+        total, grad, comps = composite_loss_and_grad(params, ((), X, Y), alpha=1.5)
+        (loss,), (g,) = grad_batch(params, X, Y)
+        assert comps == {}
+        assert type(total) is float and total == float(loss)
+        assert grad.dtype == np.float64 and grad.tobytes() == g.astype(np.float64).tobytes()
 
 
 class TestRunStrategy:

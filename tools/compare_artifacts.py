@@ -7,10 +7,13 @@ config, the distribution config under five calibration settings
 smoothing tuned, prediction smoothing fixed at 0.05, temperature scaling
 fixed at 2.0), and the distribution config with ``high_entropy``
 selection, which has a split of its own; each at ``workers`` 1 and 2.
-Both trees run in the same
-directory, one after the other, since the typing config's corpus paths
-enter its hashed directory names. Then it diffs every file the runs wrote
-and every exit code and stdout line. Run it from the repository root:
+It also trains every ``STRATEGIES`` kind under both heads on a small
+synthetic split, in one process per tree, and writes each run's
+``params.flat`` bytes and trainlog, so every training trajectory is
+compared too. Both trees run in the same directory, one after the other,
+since the typing config's corpus paths enter its hashed directory names.
+Then it diffs every file the runs wrote and every exit code and stdout
+line. Run it from the repository root:
 
     python3 tools/compare_artifacts.py --base ../parent/src --seeds 0 1
 
@@ -42,16 +45,49 @@ CALIBRATIONS = {
 }
 WORKERS = (1, 2)
 TIMEOUT_S = 600
+# Run as ``python -c TRAJECTORIES <out dir> <seed>`` with a tree's src on
+# PYTHONPATH: 150 + 40 iterations of every kind under each head, on one
+# split of a 300-row synthetic pool.
+TRAJECTORIES = """
+import sys
+from pathlib import Path
+from mixbudget.corpus import BudgetPlan, LabelVocab, SyntheticConfig, allocate_budget, generate_synthetic_pool
+from mixbudget.strategies import STRATEGIES, MixupConfig, StrategySpec, run_strategy
+
+out, seed = Path(sys.argv[1]), int(sys.argv[2])
+out.mkdir(parents=True)
+vocab = LabelVocab(("E", "N", "C"))
+pool = generate_synthetic_pool(SyntheticConfig(n_examples=300, k_classes=3, d_feat=8, seed=seed))
+split = allocate_budget(pool, BudgetPlan(200, 100, 10, 10, n_unlabeled=100), seed, vocab)
+for head in ("softmax", "sigmoid"):
+    for kind in STRATEGIES:
+        spec = StrategySpec(kind=kind, iterations_main=150, iterations_finetune=40, lr=1e-2, hidden_sizes=(16, 16),
+                            head=head, mixup=MixupConfig(batch_size=32), seed=seed)
+        params, log = run_strategy(spec, split, vocab)
+        (out / f"{kind}-{head}.params").write_bytes(params.flat.tobytes())
+        log.write(out / f"{kind}-{head}.trainlog.jsonl")
+print(f"{2 * len(STRATEGIES)} trajectories")
+"""
 
 
 def run_tree(src: Path, out: Path, seed: int) -> list[str]:
-    """Run every command from the tree ``src`` under ``out``; one line per
-    command: its arguments, exit code and stdout."""
+    """Run the trajectories and every command from the tree ``src`` under
+    ``out``; one line per process: its arguments, exit code and stdout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     lines = []
+
+    def run(label: str, args: list[str], cwd: Path) -> None:
+        proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+        lines.append(f"{label} exit {proc.returncode}: {proc.stdout.rstrip()}")
+        if proc.returncode:
+            print(f"{src}: {label} failed: {proc.stderr.strip()}", file=sys.stderr)
+
+    out.mkdir(parents=True)
+    run("trajectories", ["-c", TRAJECTORIES, str(out / "trajectories"), str(seed)], out)
     for workers in WORKERS:
         wdir = out / f"w{workers}"
-        wdir.mkdir(parents=True)
+        wdir.mkdir()
         write_typing_corpus(wdir / "typing_pool.jsonl", wdir / "typing_eval.jsonl", seed)
         configs = cli_configs(seed, wdir)
         dist = configs["distribution"]
@@ -66,11 +102,7 @@ def run_tree(src: Path, out: Path, seed: int) -> list[str]:
         commands = [("gen", first)] + [("split", paths[name]) for name in ("temp-tuned", "high-entropy", "typing")]
         commands += [(command, path) for path in paths.values() for command in ("sweep", "report")]
         for command, path in commands:
-            proc = subprocess.run([sys.executable, "-m", "mixbudget", command, "--config", str(path)],
-                                  cwd=wdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-            lines.append(f"{command} {path.relative_to(out)} exit {proc.returncode}: {proc.stdout.rstrip()}")
-            if proc.returncode:
-                print(f"{src}: {command} {path.name} failed: {proc.stderr.strip()}", file=sys.stderr)
+            run(f"{command} {path.relative_to(out)}", ["-m", "mixbudget", command, "--config", str(path)], wdir)
     return lines
 
 

@@ -5,12 +5,13 @@ spends a fixed number of labels on the pool, producing three disjoint sets:
 single-label examples (1 annotation), multi-label examples (k annotations)
 and unlabeled examples (0 annotations). The synthetic generator produces
 pools with known ground-truth label distributions so that budget/objective
-tradeoffs can be measured exactly. Every stage works on whole columns of
-one ``Corpus``, never row by row.
+tradeoffs can be measured exactly. The file reader checks each record whole
+as it reads it; every other stage works on whole columns of one ``Corpus``.
 """
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
@@ -67,19 +68,6 @@ class LabelVocab:
             return self._positions[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
             raise CorpusError(f"label {name!r} not in vocab") from None
-
-
-def validate_distribution(probs: np.ndarray) -> np.ndarray:
-    """Check that ``probs`` is a probability vector, to ``DIST_TOL``; returns it as float64."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise CorpusError(f"distribution must be 1-D, got shape {p.shape}")
-    if not ((p >= -DIST_TOL) & (p <= 1 + DIST_TOL)).all():  # NaN fails too
-        raise CorpusError("distribution entries must lie in [0, 1]")
-    total = float(p.sum())
-    if abs(total - 1.0) > DIST_TOL:
-        raise CorpusError(f"distribution sums to {total!r}, expected 1")
-    return p
 
 
 # one corpus row, read-only; ``annotations`` is a tuple of label indices
@@ -448,12 +436,12 @@ def _json_rows(matrix: np.ndarray) -> list[str]:
 
 
 def load_corpus(path, vocab: LabelVocab) -> Corpus:
-    """Read a corpus file in one pass: each record's fields are checked as it is
-    read, the numbers on whole columns after. Errors name the first bad line."""
+    """Read a corpus file in one pass, checking each record whole as it is read (field
+    types, feature count, then numbers), so that an error names the first bad line."""
     k, positions = vocab.size, vocab._positions
     rows, labels, cells, counts = [], array("h"), [], []  # labels: LABEL_DTYPE
     absent = [np.nan] * k  # the true_dist of a row without one
-    width, has_counter, fault = 0, False, None
+    width, has_counter = 0, False
     with open(path, "rb") as f:
         try:
             for lineno, line in enumerate(f, start=1):
@@ -480,7 +468,7 @@ def load_corpus(path, vocab: LabelVocab) -> Corpus:
                     if p is not None and (type(p) is not list or len(p) != k):
                         raise CorpusError(f"true_dist has {len(p)} entries, vocab has {k}" if type(p) is list
                                           else "true_dist must be a list of probabilities")
-                    if (b"true" in line or b"false" in line) and bool in map(type, x + (p or [])):
+                    if bool in map(type, x + (p or [])):
                         raise CorpusError(f"{'x' if bool in map(type, x) else 'true_dist'!r} holds a JSON "
                                           f"boolean, not a number")
                     if (o := rec.get("old_label")) is not None and (type(o) is not str or o not in positions):
@@ -498,46 +486,33 @@ def load_corpus(path, vocab: LabelVocab) -> Corpus:
                 width = width if rows else len(x)
                 if len(x) != width:
                     raise CorpusError(f"line {lineno} has {len(x)} features, the first record has {width}")
-                rows.append((u, x, len(names), p or absent, positions.get(o, -1), lineno))
+                if fault := _number_fault(x, p):
+                    raise CorpusError(f"line {lineno}: record {u}: {fault}")
+                rows.append((u, x, len(names), p or absent, positions.get(o, -1)))
                 has_counter |= c is not None
         except CorpusError as e:
-            fault = e
+            raise CorpusError(f"{path}: {e}") from None
 
-    # numbers, on whole columns; every row read precedes the line of ``fault``
-    uid, X, lengths, dists, olds, lines = zip(*rows) if rows else ((),) * 6
-    X, true_dist = _float_rows(X, width), _float_rows(dists, k)
-    present = np.array([p is not absent for p in dists], dtype=bool)
-    in_range = ((true_dist >= -DIST_TOL) & (true_dist <= 1 + DIST_TOL)).all(axis=1)
-    bad = ~np.isfinite(X).all(axis=1) | present & ~(in_range & (abs(true_dist.sum(axis=1) - 1) <= DIST_TOL))
-    if bad.any():
-        i = int(np.argmax(bad))
-        try:
-            if np.isfinite(X[i]).all():
-                validate_distribution(true_dist[i])
-        except CorpusError as e:
-            raise CorpusError(f"{path}: line {lines[i]}: record {uid[i]}: true_dist: {e}") from None
-        raise CorpusError(f"{path}: line {lines[i]}: record {uid[i]}: {_X_FAULT}")
-    if fault is not None:
-        raise CorpusError(f"{path}: {fault}")
+    uid, X, lengths, dists, olds = zip(*rows) if rows else ((),) * 5
     counter = np.zeros(len(rows) * k, dtype=np.int64)
     counter[np.array(cells, dtype=np.int64)] = counts
-    return Corpus(np.array(uid, dtype=object), X, np.frombuffer(labels, dtype=LABEL_DTYPE),
-                  np.cumsum((0, *lengths)), true_dist if present.any() else None,
+    return Corpus(np.array(uid, dtype=object), np.array(X, dtype=np.float64).reshape(len(rows), width),
+                  np.frombuffer(labels, dtype=LABEL_DTYPE), np.cumsum((0, *lengths)),
+                  np.array(dists, dtype=np.float64) if any(d is not absent for d in dists) else None,
                   olds if max(olds, default=-1) >= 0 else None,
                   counter.reshape(-1, k) if has_counter else None)
 
 
-def _float_rows(rows: tuple, width: int) -> np.ndarray:
-    """``rows``, each ``width`` entries, as float64; a row not all numbers ("1.5" is not) reads as NaNs."""
+def _number_fault(x: list, p: list | None) -> str | None:
+    """The first fault of a record's numbers (``x``, ``true_dist`` entries, its sum), or None."""
     try:
-        matrix = np.array(rows)  # numbers make a number array; an int past int64 an object one
-        if matrix.dtype.kind in "iuf" and (matrix.ndim == 2 or not rows):
-            return matrix.astype(np.float64, copy=False).reshape(len(rows), width)
-        if len(rows) == 1 and all(type(v) in (int, float) for v in rows[0]):
-            return np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    if len(rows) == 1:
-        return np.full((1, width), np.nan)
-    half = len(rows) // 2
-    return np.concatenate((_float_rows(rows[:half], width), _float_rows(rows[half:], width)))
+        if not all(map(math.isfinite, x)):
+            return _X_FAULT
+    except (TypeError, OverflowError):  # no number, or an int past the float64 range
+        return _X_FAULT
+    if p is None:
+        return None
+    if not all(type(v) in (int, float) and -DIST_TOL <= v <= 1 + DIST_TOL for v in p):  # NaN fails too
+        return "true_dist: distribution entries must lie in [0, 1]"
+    total = math.fsum(p)
+    return f"true_dist: distribution sums to {total!r}, expected 1" if abs(total - 1.0) > DIST_TOL else None

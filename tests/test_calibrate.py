@@ -137,6 +137,14 @@ class TestTuneEntropyMatch:
         assert result.scalar == 1e3
         assert result.warning
 
+    def test_warning_only_past_the_tolerance(self):
+        # a target above the highest attainable entropy warns only when it
+        # misses that entropy by more than TUNE_TOL (1e-3 nats)
+        logits = np.random.default_rng(7).normal(scale=300.0, size=(50, 3))
+        e_hi = mean_entropy(temp_scale(logits, TEMP_HI))
+        assert tune_entropy_match("temp_scaling", logits, e_hi + 5e-3).warning
+        assert not tune_entropy_match("temp_scaling", logits, e_hi + 5e-4).warning
+
     def test_overconfident_predictions_raised_to_target(self):
         # construct predictions with mean entropy near 0.414 nats, then
         # ask the tuner for 0.732 nats

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from mixbudget.atomic import atomic_write
 from mixbudget.corpus import (
+    DIST_TOL,
     BudgetPlan,
     Corpus,
     CorpusError,
@@ -27,7 +29,6 @@ from mixbudget.corpus import (
     save_corpus,
     save_vocab,
     split_manifest,
-    validate_distribution,
 )
 from mixbudget.metrics import entropy_rows
 
@@ -95,6 +96,66 @@ def reference_allocation(reservoirs, plan, seed, k_classes):
         singles.append((int(i), [reservoirs[i][j]]))
     return {"singles": singles, "multis": multis,
             "unlabeled": [(int(i), []) for i in unlabeled_idx]}
+
+
+# the faults that the loader tests inject into one record, in the order the
+# loader checks them
+FAULT_ORDER = ("missing uid", "labels not a list", "unknown label", "bad counter value", "feature dimension",
+               "non-finite x", "non-number x", "bad true_dist")
+
+
+def inject_fault(rec, kind, lineno, draw):
+    """Put the fault ``kind`` into ``rec``, a saved synthetic record on line
+    ``lineno``, drawing its details with ``draw``; returns the loader's
+    message for it."""
+    uid = rec.get("uid")
+    if kind == "non-finite x":
+        rec["x"][draw(st.integers(0, 3), label="entry")] = math.nan
+        return f"line {lineno}: record {uid}: 'x' must be a 1-D vector of finite numbers"
+    if kind == "non-number x":
+        rec["x"][draw(st.integers(0, 3), label="entry")] = draw(
+            st.sampled_from(["abc", "0.5", [0.5], {"a": 1}, None, 10**400]), label="value")
+        return f"line {lineno}: record {uid}: 'x' must be a 1-D vector of finite numbers"
+    if kind == "bad true_dist":
+        rec["true_dist"] = [0.5, 0.25, 0.125]
+        return f"line {lineno}: record {uid}: true_dist: distribution sums to 0.875, expected 1"
+    if kind == "unknown label":
+        rec["labels"][draw(st.integers(0, 99), label="label")] = "Z"
+        return f"line {lineno}: record {uid}: label 'Z' not in vocab"
+    if kind == "feature dimension":
+        rec["x"].append(0.0)
+        return f"line {lineno} has 5 features, the first record has 4"
+    if kind == "labels not a list":
+        rec["labels"] = "".join(rec["labels"][:2])
+        return f"line {lineno}: record {uid}: 'labels' must be a list of label names"
+    if kind == "bad counter value":
+        name = draw(st.sampled_from(sorted(rec["label_counter"])), label="counter label")
+        value = draw(st.sampled_from(["abc", -3, 2.7, None, True, [1]]), label="count")
+        rec["label_counter"][name] = value
+        return (f"line {lineno}: record {uid}: label_counter {{{name!r}: {value!r}}} "
+                f"is not a non-negative integer count of a vocab label")
+    assert kind == "missing uid"
+    del rec["uid"]
+    return f"line {lineno}: record is missing a string 'uid' field"
+
+
+def assert_first_fault_named(n, lineno, kinds, draw):
+    """Save an ``n``-row synthetic pool with the faults ``kinds`` on line
+    ``lineno``, the first injected last, and check that loading it fails with
+    the first one's message."""
+    pool = generate_synthetic_pool(SyntheticConfig(n_examples=n, k_classes=3, d_feat=4, seed=n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pool.jsonl"
+        save_corpus(pool, path, VOCAB)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[lineno - 1])
+        for kind in reversed(kinds):
+            message = inject_fault(rec, kind, lineno, draw)
+        lines[lineno - 1] = json.dumps(rec, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, VOCAB)
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestLabelVocab:
@@ -417,7 +478,9 @@ class TestGenerateSyntheticPool:
         for i, ex in enumerate(pool):
             assert ex.uid == f"ex-{seed}-{i:06d}"
             assert ex.features.shape == (k + extra_d,)
-            assert len(validate_distribution(pool.true_dist[i])) == k
+            p = pool.true_dist[i]
+            assert p.shape == (k,) and ((p >= -DIST_TOL) & (p <= 1 + DIST_TOL)).all()
+            assert abs(float(p.sum()) - 1.0) <= DIST_TOL
             counts = np.bincount(ex.annotations, minlength=k)
             assert len(counts) == k and counts.sum() == 100
             assert pool.counter[i].tolist() == counts.tolist()
@@ -549,52 +612,21 @@ class TestCorpusIO:
     def test_bad_line_is_named(self, data, kind):
         n = data.draw(st.integers(50, 300), label="rows")
         lineno = data.draw(st.integers(2 if kind == "feature dimension" else 1, n), label="line")
-        pool = generate_synthetic_pool(SyntheticConfig(n_examples=n, k_classes=3, d_feat=4, seed=n))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "pool.jsonl"
-            save_corpus(pool, path, VOCAB)
-            lines = path.read_text().splitlines(keepends=True)
-            rec = json.loads(lines[lineno - 1])
-            uid = rec["uid"]
-            if kind == "non-finite x":
-                rec["x"][data.draw(st.integers(0, 3), label="entry")] = math.nan
-                message = f"line {lineno}: record {uid}: 'x' must be a 1-D vector of finite numbers"
-            elif kind == "non-number x":
-                rec["x"][data.draw(st.integers(0, 3), label="entry")] = data.draw(
-                    st.sampled_from(["abc", "0.5", [0.5], {"a": 1}, None, 10**400]), label="value")
-                message = f"line {lineno}: record {uid}: 'x' must be a 1-D vector of finite numbers"
-            elif kind == "bad true_dist":
-                rec["true_dist"] = [0.5, 0.25, 0.125]
-                message = f"line {lineno}: record {uid}: true_dist: distribution sums to 0.875, expected 1"
-            elif kind == "unknown label":
-                rec["labels"][data.draw(st.integers(0, 99), label="label")] = "Z"
-                message = f"line {lineno}: record {uid}: label 'Z' not in vocab"
-            elif kind == "feature dimension":
-                rec["x"].append(0.0)
-                message = f"line {lineno} has 5 features, the first record has 4"
-            elif kind == "labels not a list":
-                rec["labels"] = "".join(rec["labels"][:2])
-                message = f"line {lineno}: record {uid}: 'labels' must be a list of label names"
-            elif kind == "bad counter value":
-                name = data.draw(st.sampled_from(sorted(rec["label_counter"])), label="counter label")
-                value = data.draw(st.sampled_from(["abc", -3, 2.7, None, True, [1]]), label="count")
-                rec["label_counter"][name] = value
-                message = (f"line {lineno}: record {uid}: label_counter {{{name!r}: {value!r}}} "
-                           f"is not a non-negative integer count of a vocab label")
-            else:
-                del rec["uid"]
-                message = f"line {lineno}: record is missing a string 'uid' field"
-            lines[lineno - 1] = json.dumps(rec, sort_keys=True) + "\n"
-            path.write_text("".join(lines))
-            with pytest.raises(CorpusError) as info:
-                load_corpus(path, VOCAB)
-            assert str(info.value) == f"{path}: {message}"
+        assert_first_fault_named(n, lineno, (kind,), data.draw)
+
+    @pytest.mark.parametrize("first, second", list(combinations(FAULT_ORDER, 2)))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_two_faults_on_one_line_name_the_earlier_check(self, data, first, second):
+        n = data.draw(st.integers(2, 40), label="rows")
+        lineno = data.draw(st.integers(2, n), label="line")
+        assert_first_fault_named(n, lineno, (first, second), data.draw)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["non-finite x", "bad true_dist"]))
     def test_first_bad_line_wins_across_record_and_column_checks(self, data, kind):
-        # a number fault is found on whole columns after the read, which stops
-        # at a later malformed line: the earlier line is still the one named
+        # the read stops at the first bad record, so a number fault on an
+        # earlier line is named before a later malformed line
         n = data.draw(st.integers(3, 60), label="rows")
         i = data.draw(st.integers(1, n - 1), label="number fault line")
         j = data.draw(st.integers(i + 1, n), label="malformed line")

@@ -217,6 +217,14 @@ class TestEntropyHistogram:
         counts = entropy_histogram([u], 3)
         assert counts[-1] == 1
 
+    @pytest.mark.parametrize("k", [5, 12, 13, 18])
+    def test_uniform_row_past_ln_k_lands_in_last_bin(self, k):
+        # at these k a uniform row's entropy rounds above ln k, the last edge
+        u = np.full((1, k), 1 / k)
+        assert entropy_rows(u)[0] > math.log(k)
+        counts = entropy_histogram(u, k)
+        assert counts[-1] == 1 and counts.sum() == 1
+
     def test_fixture_binning_matches_hand_assignment(self):
         # two-class distributions with entropies spread over [0, ln 2]
         dists = [

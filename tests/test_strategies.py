@@ -463,6 +463,16 @@ class TestRunStrategy:
         mass_comb = forward_softmax(comb, X)[:, C].mean()
         assert mass_up > mass_comb + 0.1
 
+    def test_upsampled_batches_draw_multis_half_the_time(self):
+        # singles labeled E, multis labeled C: over 100 batches of 128 the
+        # share of C rows is the sampler's even coin, 0.5 (std 0.0044)
+        rng = np.random.default_rng(3)
+        data = {"s": (rng.normal(size=(60, 3)), np.tile(np.eye(3)[E], (60, 1))),
+                "m": (rng.normal(size=(2, 3)), np.tile(np.eye(3)[C], (2, 1))), "u": None}
+        (draw,) = strategies._draws(data, "upsampled", "ce_upsampling").values()
+        share = np.mean([draw(rng, 128)[1][:, C].mean() for _ in range(100)])
+        assert abs(share - 0.5) <= 0.02
+
     def test_mixup_su_then_m_runs_two_phases(self):
         split = toy_split()
         spec = spec_for("mixup_su_then_m", iterations_main=6, iterations_finetune=3)

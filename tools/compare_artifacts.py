@@ -10,7 +10,11 @@ selection, which has a split of its own; each at ``workers`` 1 and 2.
 It also trains every ``STRATEGIES`` kind under both heads on a small
 synthetic split, in one process per tree, and writes each run's
 ``params.flat`` bytes and trainlog, so every training trajectory is
-compared too. Both trees run in the same directory, one after the other,
+compared too. And it has each tree load corrupted copies of a small
+synthetic pool, one per fault kind and one per pair of kinds on one
+line, printing each error or a hash of the loaded columns, so that the
+corpus loader's checks, messages and precedence are compared line by
+line. Both trees run in the same directory, one after the other,
 since the typing config's corpus paths enter its hashed directory names.
 Then it diffs every file the runs wrote and every exit code and stdout
 line. Run it from the repository root:
@@ -25,15 +29,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
+from mixbudget.corpus import LabelVocab, SyntheticConfig, generate_synthetic_pool, save_corpus  # noqa: E402
 from workloads import cli_configs, write_typing_corpus  # noqa: E402
 
 CALIBRATIONS = {
@@ -69,22 +76,125 @@ for head in ("softmax", "sigmoid"):
 print(f"{2 * len(STRATEGIES)} trajectories")
 """
 
+# Run as ``python -c LOADS <dir>``: loads every corpus file in the directory
+# and prints, per file, the error or the loaded columns' hash.
+LOADS = """
+import hashlib
+import sys
+from pathlib import Path
+from mixbudget.corpus import LabelVocab, load_corpus
 
-def run_tree(src: Path, out: Path, seed: int) -> list[str]:
+vocab = LabelVocab(("E", "N", "C"))
+for path in sorted(Path(sys.argv[1]).glob("*.jsonl")):
+    try:
+        corpus = load_corpus(path, vocab)
+    except Exception as e:
+        print(f"{path.name}: {type(e).__name__}: {e}")
+        continue
+    columns = [(name, None if c is None else (c.dtype.str, c.shape, c.tolist()))
+               for name, c in vars(corpus).items()]
+    print(f"{path.name}: {len(corpus)} rows, {hashlib.sha256(repr(columns).encode()).hexdigest()}")
+"""
+FAULT_LINE = 5  # of the 12-row pool that the loader comparison corrupts
+
+
+def _set(key, value):
+    return lambda rec: rec.__setitem__(key, value)
+
+
+def _set_entry(key, i, value):  # entry i, or one more entry where the list is shorter
+    return lambda rec: rec[key].__setitem__(slice(i, i + 1), [value])
+
+
+# one fault each, in the order the loader checks them; a pair applies its later
+# kind first, so that no entry edit runs on a field the other kind removed
+RECORD_FAULTS = {
+    "missing uid": lambda rec: rec.pop("uid"),
+    "empty uid": _set("uid", ""),
+    "missing x": lambda rec: rec.pop("x"),
+    "x not a list": _set("x", 0.5),
+    "labels not a list": _set("labels", "EN"),
+    "unknown label": _set_entry("labels", 0, "Z"),
+    "true_dist length": _set("true_dist", [0.5, 0.5]),
+    "true_dist not a list": _set("true_dist", "ENC"),
+    "boolean x": _set_entry("x", 1, True),
+    "boolean true_dist": _set_entry("true_dist", 2, False),
+    "unknown old_label": _set("old_label", "Z"),
+    "counter not an object": _set("label_counter", ["E"]),
+    "bad counter value": lambda rec: rec["label_counter"].__setitem__(min(rec["label_counter"]), -3),
+    "feature dimension": lambda rec: rec["x"].append(0.0),
+    "empty x": _set("x", []),
+    "NaN x": _set_entry("x", 0, math.nan),
+    "Infinity x": _set_entry("x", 1, math.inf),
+    "-Infinity x": _set_entry("x", 2, -math.inf),
+    "string x": _set_entry("x", 3, "0.5"),
+    "2**1100 x": _set_entry("x", 0, 2**1100),
+    "true_dist out of range": _set("true_dist", [1.5, -0.25, -0.25]),
+    "NaN true_dist": _set_entry("true_dist", 0, math.nan),
+    "Infinity true_dist": _set_entry("true_dist", 1, math.inf),
+    "string true_dist": _set_entry("true_dist", 0, "0.5"),
+    "true_dist sum": _set("true_dist", [0.5, 0.25, 0.125]),
+}
+
+
+def write_corpus_copies(directory: Path, seed: int) -> None:
+    """A 12-row synthetic pool and corrupted copies of it in ``directory``:
+    one per fault kind and one per pair of kinds on line ``FAULT_LINE``, plus
+    file-level cases (clean, malformed, not UTF-8, blank lines, empty, int
+    features, absent side fields, every ``x`` empty, two bad lines)."""
+    directory.mkdir(parents=True)
+    pool = generate_synthetic_pool(SyntheticConfig(n_examples=12, k_classes=3, d_feat=4, seed=seed))
+    save_corpus(pool, directory / "clean.jsonl", LabelVocab(("E", "N", "C")))
+    text = (directory / "clean.jsonl").read_text(encoding="utf-8")
+    records = [json.loads(line) for line in text.splitlines()]
+
+    def write(name: str, recs: list[dict]) -> None:
+        (directory / f"{name.replace(' ', '_')}.jsonl").write_text(
+            "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs), encoding="utf-8")
+
+    def faulty(*kinds: str) -> list[dict]:
+        recs = json.loads(json.dumps(records))
+        for kind in reversed(kinds):
+            RECORD_FAULTS[kind](recs[FAULT_LINE - 1])
+        return recs
+
+    for kind in RECORD_FAULTS:
+        write(f"one {kind}", faulty(kind))
+    for pair in combinations(RECORD_FAULTS, 2):
+        write("pair " + " + ".join(pair), faulty(*pair))
+    lines = text.encode("utf-8").splitlines(keepends=True)
+    for name, line in (("malformed", lines[FAULT_LINE - 1][:-6] + b"\n"), ("not an object", b"[1, 2]\n"),
+                       ("not utf-8", lines[FAULT_LINE - 1].replace(b'"uid": "', b'"uid": "\xff'))):
+        (directory / f"file_{name.replace(' ', '_')}.jsonl").write_bytes(
+            b"".join(lines[: FAULT_LINE - 1] + [line] + lines[FAULT_LINE:]))
+    (directory / "file_blank_lines.jsonl").write_bytes(b"\n" + b"  \n".join(lines) + b"\n")
+    (directory / "file_empty.jsonl").write_bytes(b"")
+    write("file int features", [{**rec, "x": [1, 2**70, -2**63, 0]} for rec in records])
+    write("file side fields absent", [rec if i % 2 else {key: rec[key] for key in ("uid", "x", "labels")}
+                                      for i, rec in enumerate(records)])
+    write("file every x empty", [{**rec, "x": []} for rec in records])
+    two = faulty("NaN x")
+    two[FAULT_LINE + 2] = {"x": [0.0]}
+    write("file first of two bad lines", two)
+
+
+def run_tree(src: Path, out: Path, seed: int, copies: Path) -> list[str]:
     """Run the trajectories and every command from the tree ``src`` under
-    ``out``; one line per process: its arguments, exit code and stdout."""
+    ``out``, and load the corpus files in ``copies``; one line per line of
+    output: the process's arguments, exit code and that line."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     lines = []
 
     def run(label: str, args: list[str], cwd: Path) -> None:
         proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
-        lines.append(f"{label} exit {proc.returncode}: {proc.stdout.rstrip()}")
+        lines.extend(f"{label} exit {proc.returncode}: {line}" for line in proc.stdout.rstrip().split("\n"))
         if proc.returncode:
             print(f"{src}: {label} failed: {proc.stderr.strip()}", file=sys.stderr)
 
     out.mkdir(parents=True)
     run("trajectories", ["-c", TRAJECTORIES, str(out / "trajectories"), str(seed)], out)
+    run("loads", ["-c", LOADS, copies.name], copies.parent)
     for workers in WORKERS:
         wdir = out / f"w{workers}"
         wdir.mkdir()
@@ -127,9 +237,10 @@ def main(argv=None) -> int:
         n_files = n_lines = n_diff = 0
         for seed in args.seeds:
             runs = {}
-            out = work / f"seed{seed}" / "run"
+            out, copies = work / f"seed{seed}" / "run", work / f"seed{seed}" / "corpus_copies"
+            write_corpus_copies(copies, seed)
             for side, src in (("base", args.base), ("head", args.head)):
-                runs[side] = run_tree(src.resolve(), out, seed), files(out)
+                runs[side] = run_tree(src.resolve(), out, seed, copies), files(out)
                 out.rename(out.with_name(side))
             (base_lines, base_files), (head_lines, head_files) = runs["base"], runs["head"]
             for a, b in zip(base_lines, head_lines):
@@ -143,7 +254,7 @@ def main(argv=None) -> int:
                     print(f"seed {seed}: {name} " + (f"is only in {side}" if side else "differs"))
             n_lines += len(base_lines)
             n_files += len(base_files.keys() | head_files.keys())
-    print(f"{n_files} files and {n_lines} command outputs compared over seeds {args.seeds}: "
+    print(f"{n_files} files and {n_lines} output lines compared over seeds {args.seeds}: "
           f"{n_diff} differ")
     return 1 if n_diff else 0
 

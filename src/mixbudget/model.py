@@ -105,30 +105,33 @@ def _check_input(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_cached(params: ClassifierParams, X: np.ndarray, ws: Workspace | None = None):
-    """Returns (logits, activations) with activations[i] the input to layer
-    i; the layer outputs go to ``ws.acts`` if given, else to new arrays."""
-    acts = [X]
+def _forward_cached(params: ClassifierParams, X: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """The logits of ``X``; the layer outputs go to ``ws.acts`` if given,
+    where ``_backprop`` reads them, else to new arrays."""
+    z = X
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(acts[-1], W, out=None if ws is None else ws.acts[i])
+        z = np.matmul(z, W, out=None if ws is None else ws.acts[i])
         z += b
         if i < len(params.weights) - 1:
             np.tanh(z, out=z)
-        acts.append(z)
-    return acts[-1], acts
+    return z
 
 
 def forward_logits(params: ClassifierParams, x) -> np.ndarray:
     X = _check_input(params, x)
     squeeze = X.ndim == 1
-    logits, _ = _forward_cached(params, np.atleast_2d(X))
+    logits = _forward_cached(params, np.atleast_2d(X))
     return logits[0] if squeeze else logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = _floating(logits)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    # the row max a column at a time, exact in any order: a reduction over a short last axis,
+    # z.max(axis=-1), runs its inner loop once per row
+    m = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j:j + 1], out=m)
+    e = np.exp(z - m)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -138,7 +141,8 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
     # sign and payload of a NaN, so every output bit matches the two-branch
     # form 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) for z < 0
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def forward_softmax(params: ClassifierParams, x) -> np.ndarray:
@@ -164,7 +168,8 @@ def batch_soft_cross_entropy(P: np.ndarray, T: np.ndarray):
     model parameters are identical to the KL objective's.
     """
     P = np.maximum(np.asarray(P, dtype=np.float64), PRED_CLAMP)
-    return -np.mean(np.sum(T * np.log(P), axis=-1), axis=-1)
+    rows = (T * np.log(P)).sum(axis=-1)
+    return -(rows.sum(axis=-1) / rows.shape[-1])  # np.mean's own sum and division, without its wrapper
 
 
 def negative_weights(targets: np.ndarray) -> np.ndarray:
@@ -183,7 +188,8 @@ def batch_multilabel_bce(S: np.ndarray, Y: np.ndarray):
     Y = np.asarray(Y, dtype=np.float64)
     w = negative_weights(Y)
     per_type = -(Y * np.log(S) + (1.0 - Y) * np.log(1.0 - S))
-    return np.mean(np.sum(w * per_type, axis=-1) / S.shape[-1], axis=-1)
+    rows = (w * per_type).sum(axis=-1) / S.shape[-1]
+    return rows.sum(axis=-1) / rows.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +229,7 @@ HEADS = {
         loss=batch_soft_cross_entropy,
         # d(mean CE)/dlogits for targets summing to 1
         dlogits=lambda P, T: (P - T) / P.shape[-2],
-        sharpen=lambda P: np.eye(P.shape[1], dtype=P.dtype)[np.argmax(P, axis=1)],
+        sharpen=lambda P: np.eye(P.shape[1], dtype=P.dtype).take(P.argmax(axis=1), axis=0),
     ),
     "sigmoid": Head(
         activate=sigmoid,
@@ -243,7 +249,9 @@ class Workspace:
     master params whose ``flat`` is in ``dtype`` (the caller refreshes it), and ``grad_batch``'s
     buffers for ``groups`` groups of ``batch_size`` rows: each layer's output (groups, batch_size,
     width), a scratch block as large as the widest hidden one, and one gradient per group laid out
-    like ``params.flat``."""
+    like ``params.flat``. Every view a step takes of them is bound here once: the per-layer
+    gradient blocks ``dW``/``db``, the hidden outputs transposed (``acts_T``) and the backward
+    pass's ``dA`` scratch, one per hidden output."""
 
     def __init__(self, params: ClassifierParams, batch_size: int, groups: int = 1, dtype=np.float64):
         self.groups = groups
@@ -252,25 +260,29 @@ class Workspace:
         views = params.views(self.params.flat)
         self.params.weights, self.params.biases = views[0::2], views[1::2]
         self.acts = [np.empty((groups, batch_size, W.shape[1]), dtype) for W in params.weights]
+        self.acts_T = [a.transpose(0, 2, 1) for a in self.acts[:-1]]
         widest = max((W.shape[0] for W in params.weights[1:]), default=0)
-        self.scratch = np.empty(groups * batch_size * widest, dtype)
+        scratch = np.empty(groups * batch_size * widest, dtype)
+        self.dA = [scratch[:a.size].reshape(a.shape) for a in self.acts[:-1]]
         self.grads = np.empty((groups, params.flat.size), dtype)
+        views = params.views(self.grads)
+        self.dW, self.db = views[0::2], views[1::2]
 
 
-def _backprop(params: ClassifierParams, acts: list[np.ndarray], dZ: np.ndarray, ws: Workspace) -> np.ndarray:
+def _backprop(params: ClassifierParams, X: np.ndarray, dZ: np.ndarray, ws: Workspace) -> np.ndarray:
     """Backpropagate a final-layer logit gradient, stacked (groups, rows,
-    k), through the tanh stack into ``ws.grads``, one gradient per group.
-    Spends ``acts``: each hidden activation is overwritten by its dZ."""
-    views = params.views(ws.grads)
+    k), from the forward pass of input ``X`` in ``ws``, through the tanh
+    stack into ``ws.grads``, one gradient per group. Spends ``ws.acts``:
+    each hidden output is overwritten by its dZ."""
     for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[i].transpose(0, 2, 1), dZ, out=views[2 * i])  # dW
-        dZ.sum(axis=1, out=views[2 * i + 1])                         # db
+        np.matmul(ws.acts_T[i - 1] if i else X.transpose(0, 2, 1), dZ, out=ws.dW[i])
+        dZ.sum(axis=1, out=ws.db[i])
         if i > 0:
-            a = acts[i]
-            dA = np.matmul(dZ, params.weights[i].T, out=ws.scratch[:a.size].reshape(a.shape))
+            a = ws.acts[i - 1]
+            np.matmul(dZ, params.weights[i].T, out=ws.dA[i - 1])
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
-            dZ = np.multiply(dA, a, out=a)                           # dA * tanh'
+            dZ = np.multiply(ws.dA[i - 1], a, out=a)                 # dA * tanh'
     return ws.grads
 
 
@@ -290,10 +302,11 @@ def grad_batch(params: ClassifierParams, X, T, ws: Workspace | None = None) -> t
     if len(X) == 0:
         raise ValueError("empty batch")
     ws = Workspace(params, len(X), dtype=params.flat.dtype) if ws is None else ws
-    logits, acts = _forward_cached(params, X.reshape(ws.groups, -1, X.shape[1]), ws)
+    X = X.reshape(ws.groups, -1, X.shape[1])
+    logits = _forward_cached(params, X, ws)
     S = head.activate(logits)
     T = T.reshape(S.shape)
-    return head.loss(S, T), _backprop(params, acts, head.dlogits(S, T), ws)
+    return head.loss(S, T), _backprop(params, X, head.dlogits(S, T), ws)
 
 
 # ---------------------------------------------------------------------------

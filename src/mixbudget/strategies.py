@@ -9,7 +9,9 @@ Every strategy is a list of phases run by one training loop.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,11 +201,12 @@ def apply_pairing(batches: dict, pairing: tuple[float, dict]) -> tuple[tuple[str
     order, each side gathered by one index over all batches."""
     lam, pairs = pairing
     keys = list(batches)
-    starts = dict(zip(keys, np.cumsum([0] + [len(batches[k][0]) for k in keys])))
+    starts = dict(zip(keys, itertools.accumulate((len(batches[k][0]) for k in keys), initial=0)))
     idx_a = np.concatenate([starts[TERMS[term][0]] + a for term, (a, _) in pairs.items()])
     idx_b = np.concatenate([starts[TERMS[term][1]] + b for term, (_, b) in pairs.items()])
     X, Y = (np.concatenate([batches[k][i] for k in keys]) for i in (0, 1))
-    return tuple(pairs), lam * X[idx_a] + (1.0 - lam) * X[idx_b], lam * Y[idx_a] + (1.0 - lam) * Y[idx_b]
+    (Xa, Xb), (Ya, Yb) = ((M.take(idx_a, axis=0), M.take(idx_b, axis=0)) for M in (X, Y))
+    return tuple(pairs), lam * Xa + (1.0 - lam) * Xb, lam * Ya + (1.0 - lam) * Yb
 
 
 def composite_loss_and_grad(
@@ -231,7 +234,11 @@ def composite_loss_and_grad(
     weights = [1.0 if TERMS[term][0] == TERMS[term][1] else alpha for term in terms] or [1.0]
     components = dict(zip(terms, map(float, losses)))
     total = sum(weight * float(loss) for weight, loss in zip(weights, losses))
-    grad = (np.array(weights, grads.dtype)[:, None] * grads).astype(np.float64).sum(axis=0)
+    if any(weight != 1.0 for weight in weights):  # a unit weight leaves every bit as it is
+        grads *= np.array(weights, grads.dtype)[:, None]
+    # one group is only widened; the float64 sum starts at 0.0 and so turns -0.0 into 0.0, which
+    # Adam cannot tell apart, as its moments start at 0.0
+    grad = grads[0].astype(np.float64) if len(grads) == 1 else np.add.reduce(grads, axis=0, dtype=np.float64)
     return total, grad, components
 
 
@@ -244,7 +251,7 @@ def _rows(X, Y=None):
     def draw(rng, B):
         # with replacement only when the set is smaller than a batch
         idx = rng.choice(len(X), size=B, replace=len(X) < B)
-        return X[idx], None if Y is None else Y[idx]
+        return X.take(idx, axis=0), None if Y is None else Y.take(idx, axis=0)
 
     return draw
 
@@ -282,7 +289,7 @@ def _draws(data: dict, sampler, kind: str) -> dict:
 
 def _abort_if_not_finite(loss, grad, it, log):
     # checked before the update, so a bad step is never applied
-    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+    if not (math.isfinite(loss) and np.isfinite(grad).all()):
         tail = json.dumps(log[-5:])
         raise StrategyError(f"non-finite loss or gradient at iteration {it}; log tail: {tail}")
 

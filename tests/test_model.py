@@ -89,6 +89,26 @@ class TestForwardSoftmax:
         with pytest.raises(ValueError, match="feature dim"):
             forward_softmax(params, np.zeros(5))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 40), rows=st.integers(1, 4), data=st.data())
+    def test_softmax_equals_the_row_max_form(self, dtype, k, rows, data):
+        # NaN is numpy's own: the reference's reduction gives its canonical NaN for a row that
+        # starts with one and passes a later one through, so other NaN bits are not pinned
+        values = st.one_of(st.floats(allow_nan=False, width=32), st.sampled_from([math.nan, math.inf, -math.inf]))
+        z = np.array(data.draw(st.lists(values, min_size=rows * k, max_size=rows * k)), dtype).reshape(rows, k)
+
+        def reference(z):
+            z = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            return e / e.sum(axis=-1, keepdims=True)
+
+        bits = f"u{z.itemsize}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (z, z[0], np.stack([z, z[::-1]])):  # a batch, one row, and a stack of batches
+                got, want = softmax(x), reference(x)
+                assert got.dtype == dtype and np.array_equal(got.view(bits), want.view(bits))
+
     def test_heads_keep_float32_and_widen_the_rest(self):
         z = np.random.default_rng(2).normal(scale=4.0, size=(6, 5))
         for activate in (softmax, sigmoid):
@@ -233,6 +253,20 @@ class TestAdam:
             adam_step(params, state, np.concatenate([g.ravel(), gb, g.ravel(), gb]))
         assert np.array_equal(params.weights[0], params.weights[1])
         assert np.array_equal(params.biases[0], params.biases[1])
+
+    def test_negative_zero_gradient_updates_like_zero(self):
+        # composite_loss_and_grad widens one group's float32 gradient as it is, where a float64 sum
+        # from 0.0 would turn its -0.0 entries into 0.0; the moments start at 0.0, so both update alike
+        rng = np.random.default_rng(5)
+        runs = {sign: init_params(3, (4,), 2, seed=1) for sign in (1.0, -1.0)}
+        states = {sign: init_adam(params, lr=0.1) for sign, params in runs.items()}
+        for _ in range(3):
+            g = rng.normal(size=runs[1.0].flat.size)
+            g[::2] = 0.0
+            for sign, params in runs.items():
+                adam_step(params, states[sign], np.where(g == 0.0, sign * 0.0, g))
+        for a, b in ((runs[1.0].flat, runs[-1.0].flat), (states[1.0].m, states[-1.0].m), (states[1.0].v, states[-1.0].v)):
+            assert a.tobytes() == b.tobytes()
 
     def test_in_place_update_matches_the_expression_bit_for_bit(self):
         # reference: the update as plain array expressions, one temporary per operation

@@ -389,6 +389,36 @@ class TestStackedStep:
         assert grad.dtype == np.float64 and grad.tobytes() == g.astype(np.float64).tobytes()
 
 
+class TestWorkspaceReuse:
+    """A workspace binds its views once and every step of a phase reuses them: each step on a used
+    workspace gives, bit for bit, what the same step gives on a fresh one."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_consecutive_steps_equal_fresh_workspaces(self, dtype, head):
+        rng = np.random.default_rng(12)
+        d, k, B, terms = 5, 4, 8, tuple(TERMS)
+        master = init_params(d, (6, 3), k, head, 12)
+        ws = Workspace(master, B, len(terms), dtype)
+        for _ in range(3):
+            master.flat += 0.1 * rng.normal(size=master.flat.size)  # as Adam moves them between steps
+            ws.params.flat[:] = master.flat
+            if head == "softmax":
+                Ys, Ym = (rng.dirichlet(np.ones(k), size=B) for _ in range(2))
+            else:
+                Ys, Ym = (rng.random((2, B, k)) < 0.4).astype(np.float64)
+            Xs, Xm, Xu = rng.normal(size=(3, B, d))
+            batches = {"m": (Xm, Ym), "s": (Xs, Ys), "u": (Xu, None)}
+            batches = {key: (X.astype(dtype), pseudo_label(ws.params, X.astype(dtype)) if Y is None else Y.astype(dtype))
+                       for key, (X, Y) in batches.items()}
+            mixed = apply_pairing(batches, draw_pairing(rng, terms, B))
+            total, grad, comps = composite_loss_and_grad(ws.params, mixed, 1.5, ws)
+            fresh = Workspace(master, B, len(terms), dtype)
+            want_total, want_grad, want_comps = composite_loss_and_grad(fresh.params, mixed, 1.5, fresh)
+            assert (total, comps) == (want_total, want_comps)
+            assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestRunStrategy:
     def test_curriculum_without_finetune_equals_single_only(self):
         split = toy_split()

@@ -10,11 +10,12 @@ selection, which has a split of its own; each at ``workers`` 1 and 2.
 It also trains every ``STRATEGIES`` kind under both heads on a small
 synthetic split, in one process per tree, and writes each run's
 ``params.flat`` bytes and trainlog, so every training trajectory is
-compared too. And it has each tree load corrupted copies of a small
-synthetic pool, one per fault kind and one per pair of kinds on one
-line, printing each error or a hash of the loaded columns, so that the
-corpus loader's checks, messages and precedence are compared line by
-line. Both trees run in the same directory, one after the other,
+compared too, once at hidden sizes (16, 16) with 32-row batches and once
+with one hidden unit and one-row batches. And it has each tree load
+corrupted copies of a small synthetic pool, one per fault kind and one
+per pair of kinds on one line, printing each error or a hash of the
+loaded columns, so that the corpus loader's checks, messages and
+precedence are compared line by line. Both trees run in the same directory, one after the other,
 since the typing config's corpus paths enter its hashed directory names.
 Then it diffs every file the runs wrote and every exit code and stdout
 line. Run it from the repository root:
@@ -54,7 +55,9 @@ WORKERS = (1, 2)
 TIMEOUT_S = 600
 # Run as ``python -c TRAJECTORIES <out dir> <seed>`` with a tree's src on
 # PYTHONPATH: 150 + 40 iterations of every kind under each head, on one
-# split of a 300-row synthetic pool.
+# split of a 300-row synthetic pool, at hidden sizes (16, 16) with batches of
+# 32 rows, and at one hidden unit with batches of one row, the edge shapes of
+# the training step's buffers.
 TRAJECTORIES = """
 import sys
 from pathlib import Path
@@ -68,12 +71,13 @@ pool = generate_synthetic_pool(SyntheticConfig(n_examples=300, k_classes=3, d_fe
 split = allocate_budget(pool, BudgetPlan(200, 100, 10, 10, n_unlabeled=100), seed, vocab)
 for head in ("softmax", "sigmoid"):
     for kind in STRATEGIES:
-        spec = StrategySpec(kind=kind, iterations_main=150, iterations_finetune=40, lr=1e-2, hidden_sizes=(16, 16),
-                            head=head, mixup=MixupConfig(batch_size=32), seed=seed)
-        params, log = run_strategy(spec, split, vocab)
-        (out / f"{kind}-{head}.params").write_bytes(params.flat.tobytes())
-        log.write(out / f"{kind}-{head}.trainlog.jsonl")
-print(f"{2 * len(STRATEGIES)} trajectories")
+        for name, hidden, batch_size in ((f"{kind}-{head}", (16, 16), 32), (f"{kind}-{head}-h1-b1", (1,), 1)):
+            spec = StrategySpec(kind=kind, iterations_main=150, iterations_finetune=40, lr=1e-2, hidden_sizes=hidden,
+                                head=head, mixup=MixupConfig(batch_size=batch_size), seed=seed)
+            params, log = run_strategy(spec, split, vocab)
+            (out / f"{name}.params").write_bytes(params.flat.tobytes())
+            log.write(out / f"{name}.trainlog.jsonl")
+print(f"{4 * len(STRATEGIES)} trajectories")
 """
 
 # Run as ``python -c LOADS <dir>``: loads every corpus file in the directory

@@ -183,8 +183,8 @@ class BudgetPlan:
 
     def __post_init__(self):
         for name in ("total_labels", "n_single", "n_multi", "k_per_multi", "n_unlabeled"):
-            if getattr(self, name) < 0:
-                raise CorpusError(f"{name} must be >= 0")
+            if getattr(self, name) < (low := int(name == "k_per_multi")):  # a multi carries at least one label
+                raise CorpusError(f"{name} must be >= {low}")
         if self.n_single * 1 + self.n_multi * self.k_per_multi != self.total_labels:
             raise CorpusError(
                 f"total_labels does not balance: {self.n_single} * 1 + {self.n_multi} * "
@@ -486,6 +486,8 @@ def load_corpus(path, vocab: LabelVocab) -> Corpus:
                 width = width if rows else len(x)
                 if len(x) != width:
                     raise CorpusError(f"line {lineno} has {len(x)} features, the first record has {width}")
+                if not width:
+                    raise CorpusError(f"line {lineno}: record {u}: 'x' holds no features")
                 if fault := _number_fault(x, p):
                     raise CorpusError(f"line {lineno}: record {u}: {fault}")
                 rows.append((u, x, len(names), p or absent, positions.get(o, -1)))

@@ -195,16 +195,14 @@ def draw_pairing(rng: np.random.Generator, terms, batch_size: int) -> tuple[floa
     return lam, pairs
 
 
-def apply_pairing(batches: dict, pairing: tuple[float, dict]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+def apply_pairing(X, Y, rows: dict, pairing: tuple[float, dict]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """(terms, X, Y): every term's row-wise convex combination
     ``lam * a + (1 - lam) * b`` of its two batches, stacked in its term
-    order, each side gathered by one index over all batches."""
+    order. ``rows`` maps each set key to its batch's rows of the table
+    ``X``, ``Y``; each side is gathered from the table once."""
     lam, pairs = pairing
-    keys = list(batches)
-    starts = dict(zip(keys, itertools.accumulate((len(batches[k][0]) for k in keys), initial=0)))
-    idx_a = np.concatenate([starts[TERMS[term][0]] + a for term, (a, _) in pairs.items()])
-    idx_b = np.concatenate([starts[TERMS[term][1]] + b for term, (_, b) in pairs.items()])
-    X, Y = (np.concatenate([batches[k][i] for k in keys]) for i in (0, 1))
+    idx_a = np.concatenate([rows[TERMS[term][0]].take(a) for term, (a, _) in pairs.items()])
+    idx_b = np.concatenate([rows[TERMS[term][1]].take(b) for term, (_, b) in pairs.items()])
     (Xa, Xb), (Ya, Yb) = ((M.take(idx_a, axis=0), M.take(idx_b, axis=0)) for M in (X, Y))
     return tuple(pairs), lam * Xa + (1.0 - lam) * Xb, lam * Ya + (1.0 - lam) * Yb
 
@@ -246,45 +244,32 @@ def composite_loss_and_grad(
 # the training loop
 # ---------------------------------------------------------------------------
 
-def _rows(X, Y=None):
-    """Batch draw from one set; ``Y`` is None for the unlabeled set."""
+def _sampler(spans: dict, sampler, kind: str):
+    """One phase's batch draw, ``draw(rng, B) -> {batch key: table rows}``,
+    over the sets' ``(start, count)`` spans of the run's table."""
+    keys = ("s", "m") if sampler == "upsampled" else () if sampler == "pooled" else sampler
+    for key in keys:
+        if not spans[key][1]:
+            raise StrategyError(f"strategy {kind} requires non-empty {SET_NAMES[key]}")
+    (lo_s, n_s), (lo_m, n_m) = spans["s"], spans["m"]
+    if sampler == "upsampled":
+        def draw(rng, B):
+            # each slot is an even coin flip between the two sets, so multi
+            # examples match single examples in aggregate frequency
+            from_multi = rng.random(B) < 0.5
+            idx_s = rng.integers(0, n_s, size=B)
+            idx_m = rng.integers(0, n_m, size=B)
+            return {"upsampled": np.where(from_multi, lo_m + idx_m, lo_s + idx_s)}
+
+        return draw
+    # singles and multis sit next to each other in the table, so pooling them is one span
+    draws = {"pooled": (lo_s, n_s + n_m)} if sampler == "pooled" else {key: spans[key] for key in keys}
+
     def draw(rng, B):
         # with replacement only when the set is smaller than a batch
-        idx = rng.choice(len(X), size=B, replace=len(X) < B)
-        return X.take(idx, axis=0), None if Y is None else Y.take(idx, axis=0)
+        return {key: lo + rng.choice(n, size=B, replace=n < B) for key, (lo, n) in draws.items()}
 
     return draw
-
-
-def _upsampled(singles, multis):
-    (Xs, Ys), (Xm, Ym) = singles, multis
-
-    def draw(rng, B):
-        # each slot is an even coin flip between the two sets, so multi
-        # examples match single examples in aggregate frequency
-        from_multi = rng.random(B) < 0.5
-        idx_s = rng.integers(0, len(Xs), size=B)
-        idx_m = rng.integers(0, len(Xm), size=B)
-        X = np.where(from_multi[:, None], Xm[idx_m], Xs[idx_s])
-        Y = np.where(from_multi[:, None], Ym[idx_m], Ys[idx_s])
-        return X, Y
-
-    return draw
-
-
-def _draws(data: dict, sampler, kind: str) -> dict:
-    """One phase's batch draws, {batch key: draw(rng, B) -> (X, Y)}."""
-    if sampler == "pooled":
-        labeled = [data[k] for k in ("s", "m") if data[k] is not None]
-        return {"pooled": _rows(np.concatenate([X for X, _ in labeled]),
-                                np.concatenate([Y for _, Y in labeled]))}
-    keys = ("s", "m") if sampler == "upsampled" else sampler
-    for key in keys:
-        if data[key] is None:
-            raise StrategyError(f"strategy {kind} requires non-empty {SET_NAMES[key]}")
-    if sampler == "upsampled":
-        return {"upsampled": _upsampled(data["s"], data["m"])}
-    return {key: _rows(data["u"]) if key == "u" else _rows(*data[key]) for key in keys}
 
 
 def _abort_if_not_finite(loss, grad, it, log):
@@ -298,42 +283,46 @@ def run_strategy(
     spec: StrategySpec, split: CorpusSplit, vocab: LabelVocab
 ) -> tuple[ClassifierParams, TrainLog]:
     """Train a classifier on ``split`` under ``spec``; deterministic given
-    ``spec.seed``. Runs the phases of ``STRATEGIES[spec.kind]`` in order,
-    skipping phases with zero iterations. Each iteration draws one batch
-    per sampler key (unlabeled rows pseudo-labeled), then, for a mixup
-    phase, lambda and the pairings, and takes one ``composite_loss_and_grad``
-    step; a phase without terms is one unit-weight group. Steps run in
-    ``TRAIN_DTYPE`` on the workspace's copy of the params, cast once per
-    step; the float64 master params are updated and returned."""
-    data = {key: None if part is None else part.astype(TRAIN_DTYPE) if key == "u"
-            else tuple(a.astype(TRAIN_DTYPE) for a in part)
-            for key, part in make_targets(split, vocab, spec).items()}
-    sets_present = [k for k in ("s", "m") if data[k] is not None]
-    if not sets_present:
+    ``spec.seed``. The run's rows sit in one table X, Y in ``TRAIN_DTYPE``:
+    singles, multis, then unlabeled, whose targets are the pseudo labels
+    written at the rows each step draws. Runs the phases of
+    ``STRATEGIES[spec.kind]`` in order, skipping phases with zero
+    iterations. Each iteration draws one batch of table rows per sampler
+    key, then, for a mixup phase, lambda and the pairings, and takes one
+    ``composite_loss_and_grad`` step; a phase without terms is one
+    unit-weight group. Steps run on the workspace's copy of the params,
+    cast once per step; the float64 master params are updated and
+    returned."""
+    data = make_targets(split, vocab, spec)
+    if data["s"] is None and data["m"] is None:
         raise StrategyError(f"strategy {spec.kind} requires at least one labeled set")
-    d_feat = data[sets_present[0]][0].shape[1]
-    phases = [(phase, getattr(spec, iters), _draws(data, sampler, spec.kind), terms)
+    if data["u"] is not None:  # targets of zero until a step writes the pseudo labels of the rows it draws
+        data["u"] = (data["u"], np.zeros((len(data["u"]), vocab.size)))
+    parts = [part for part in data.values() if part is not None]
+    X, Y = (np.concatenate([part[i] for part in parts], dtype=TRAIN_DTYPE) for i in (0, 1))
+    counts = [0 if part is None else len(part[0]) for part in data.values()]
+    spans = dict(zip(data, zip(itertools.accumulate(counts, initial=0), counts)))
+    phases = [(phase, getattr(spec, iters), _sampler(spans, sampler, spec.kind), terms)
               for phase, iters, sampler, terms in STRATEGIES[spec.kind]
               if getattr(spec, iters) > 0]
 
-    params = init_params(d_feat, spec.hidden_sizes, vocab.size, spec.head, spec.seed)
+    params = init_params(X.shape[1], spec.hidden_sizes, vocab.size, spec.head, spec.seed)
     adam = init_adam(params, spec.lr)
     rng = np.random.default_rng(spec.seed)
     batch_size = spec.mixup.batch_size
     log: list[dict] = []
-    for phase, iterations, draws, terms in phases:
+    for phase, iterations, draw, terms in phases:
         ws = Workspace(params, batch_size, len(terms) or 1, TRAIN_DTYPE)
         for it in range(iterations):
             ws.params.flat[:] = params.flat  # the step's one cast, for its pseudo labels and its gradient
-            batches = {}
-            for key, draw in draws.items():
-                X, Y = draw(rng, batch_size)
-                batches[key] = (X, pseudo_label(ws.params, X) if Y is None else Y)
+            rows = draw(rng, batch_size)
+            if "u" in rows:  # a row drawn twice gets its label twice
+                Y[rows["u"]] = pseudo_label(ws.params, X.take(rows["u"], axis=0))
             if terms:
-                mixed, alpha = apply_pairing(batches, draw_pairing(rng, terms, batch_size)), ramp_alpha(it)
+                mixed, alpha = apply_pairing(X, Y, rows, draw_pairing(rng, terms, batch_size)), ramp_alpha(it)
             else:
-                ((X, Y),) = batches.values()
-                mixed, alpha = ((), X, Y), 0.0
+                (idx,) = rows.values()
+                mixed, alpha = ((), X.take(idx, axis=0), Y.take(idx, axis=0)), 0.0
             loss, grad, comps = composite_loss_and_grad(ws.params, mixed, alpha, ws)
             _abort_if_not_finite(loss, grad, it, log)
             adam_step(params, adam, grad)

@@ -54,6 +54,7 @@ from mixbudget.strategies import (
 
 from test_metrics import multihot
 from test_model import finite_difference, max_rel_err
+from test_strategies import as_table
 
 VOCAB = LabelVocab(("E", "N", "C"))
 
@@ -229,9 +230,9 @@ def test_criterion_2_gradient_suite():
         alpha = 1.3
 
         def loss_fn():
-            return composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)[0]
+            return composite_loss_and_grad(params, apply_pairing(*as_table(batches), pairing), alpha)[0]
 
-        _, grads, _ = composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)
+        _, grads, _ = composite_loss_and_grad(params, apply_pairing(*as_table(batches), pairing), alpha)
         worst = max(worst, max_rel_err(grads, finite_difference(params, loss_fn)))
     checks.append((f"three-set composite rel err {worst:.2e}", worst < 1e-4))
 
@@ -266,7 +267,7 @@ def test_criterion_3_mixup_degeneracies():
         return float(-np.mean(np.sum(Y * np.log(P), axis=1)))
 
     for lam, side in ((1.0, 0), (0.0, 1)):
-        tb = apply_pairing(batches, (lam, term_pairs))
+        tb = apply_pairing(*as_table(batches), (lam, term_pairs))
         _, _, comps = composite_loss_and_grad(params, tb, alpha=0.8)
         for term, loss in comps.items():
             expected = plain_ce(sides[term][side])

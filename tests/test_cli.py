@@ -893,6 +893,7 @@ class TestConfigChecks:
         ("sweep", "strategy.iterations_main", 0, "StrategyError: strategy.iterations_main must be positive"),
         ("sweep", "strategy.mixup.batch_size", 0, "StrategyError: strategy.mixup.batch_size must be >= 1"),
         ("split", "plan.n_single", -1, "CorpusError: plan.n_single must be >= 0"),
+        ("split", "plan.k_per_multi", 0, "CorpusError: plan.k_per_multi must be >= 1"),
         ("gen", "corpus.synthetic.feature_noise_sigma", -0.5,
          "CorpusError: corpus.synthetic.feature_noise_sigma must be >= 0"),
         ("sweep", "strategy.kind", "mixup_x",
@@ -920,11 +921,11 @@ class TestConfigChecks:
          "ConfigError: corpus.pool cannot go with synthetic, from which gen writes the pool"),
         ("split", "corpus.eval", "eval.jsonl", "ConfigError: corpus.eval cannot go with synthetic, from which gen "
          "writes the eval corpus; eval_path sets another eval corpus"),
-    ], ids=["strategy", "strategy.mixup", "plan", "corpus.synthetic", "strategy.kind", "strategy.target_mode",
-            "calibration.method", "plan.total_labels", "plan.selection_strategy", "corpus.synthetic.n_examples",
-            "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat", "seeds", "strategy.lr<0",
-            "strategy.lr=0", "strategy.hidden_sizes=[0]", "strategy.hidden_sizes=[8,-1]", "corpus.pool",
-            "corpus.eval"])
+    ], ids=["strategy", "strategy.mixup", "plan", "plan.k_per_multi", "corpus.synthetic", "strategy.kind",
+            "strategy.target_mode", "calibration.method", "plan.total_labels", "plan.selection_strategy",
+            "corpus.synthetic.n_examples", "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat", "seeds",
+            "strategy.lr<0", "strategy.lr=0", "strategy.hidden_sizes=[0]", "strategy.hidden_sizes=[8,-1]",
+            "corpus.pool", "corpus.eval"])
     def test_range_error_names_its_dotted_key(self, prepared, capsys, command, key, value, error):
         # the section's own check raises it; the loader prefixes the section's dotted name
         assert self.rejected(prepared, capsys, command, key, value, key) == error

@@ -237,6 +237,12 @@ class TestBudgetPlan:
         with pytest.raises(CorpusError):
             BudgetPlan(total_labels=10, n_single=20, n_multi=-1, k_per_multi=10)
 
+    @pytest.mark.parametrize("k_per_multi", [0, -1])
+    def test_multis_carry_at_least_one_label(self, k_per_multi):
+        # k_per_multi 0 balances any budget of singles alone, yet would split "multis" with no labels
+        with pytest.raises(CorpusError, match="^k_per_multi must be >= 1$"):
+            BudgetPlan(5, 5, 3, k_per_multi)
+
     def test_valid_plans(self):
         BudgetPlan(150000, 145000, 500, 10)
         BudgetPlan(500, 100, 200, 2)
@@ -604,6 +610,15 @@ class TestCorpusIO:
                                 for i, x in enumerate(rows)))
         with pytest.raises(CorpusError, match="line 3 has 1 features, the first record has 2"):
             load_corpus(path, VOCAB)
+
+    @pytest.mark.parametrize("blank_lines", [0, 1])
+    def test_empty_features_name_the_line(self, tmp_path, blank_lines):
+        path = tmp_path / "empty_x.jsonl"
+        path.write_text("\n" * blank_lines + "".join(json.dumps({"uid": f"u{i}", "x": [], "labels": ["E"]}) + "\n"
+                                                    for i in range(20)))
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, VOCAB)
+        assert str(info.value) == f"{path}: line {1 + blank_lines}: record u0: 'x' holds no features"
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(

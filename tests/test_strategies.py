@@ -50,6 +50,14 @@ def rows(*examples, d=2):
     return Corpus.from_rows(uids, X, [annotations for _, _, annotations in examples])
 
 
+def as_table(batches):
+    """(X, Y, rows), the table arguments of ``apply_pairing``: the (X, Y) batches of ``batches`` stacked in
+    key order, and each key's rows in the stack."""
+    X, Y = (np.concatenate([batch[i] for batch in batches.values()]) for i in (0, 1))
+    starts = np.cumsum([0] + [len(x) for x, _ in batches.values()])
+    return X, Y, {key: start + np.arange(len(x)) for (key, (x, _)), start in zip(batches.items(), starts)}
+
+
 def toy_split(n_s=6, n_m=4, n_u=5, k=10, seed=0, nan_feature=False):
     rng = np.random.default_rng(seed)
     def ex(uid, n_ann):
@@ -124,7 +132,7 @@ class TestMixPair:
         # one within-set term pairing a's rows with b's, stacked in one set
         n = len(a[0])
         batches = {"s": (np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]))}
-        terms, xm, ym = apply_pairing(batches, (lam, {"L_ss": (np.arange(n), n + np.arange(n))}))
+        terms, xm, ym = apply_pairing(*as_table(batches), (lam, {"L_ss": (np.arange(n), n + np.arange(n))}))
         assert terms == ("L_ss",)
         return xm, ym
 
@@ -152,6 +160,27 @@ class TestMixPair:
             lam = float(rng.random())
             _, Ym = self.mix((Xa, Ya), (Xa, Yb), lam)
             assert np.allclose(Ym.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=3, max_size=3), B=st.integers(1, 12),
+           terms=st.lists(st.sampled_from(list(TERMS)), min_size=1, max_size=5, unique=True),
+           lam=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_table_rows_equal_the_per_row_mix(self, dtype, sizes, B, terms, lam, seed):
+        # every set gathers its B rows from the table with replacement; row j of a term is
+        # lam * (its a-side row) + (1 - lam) * (its b-side row), bit for bit, stacked in term order
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(sum(sizes), 4)).astype(dtype)
+        Y = rng.dirichlet(np.ones(3), size=sum(sizes)).astype(dtype)
+        starts = np.cumsum([0] + sizes)
+        batch_rows = {key: start + rng.integers(0, n, size=B) for key, start, n in zip("smu", starts, sizes)}
+        _, pairs = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B)
+        got_terms, Xm, Ym = apply_pairing(X, Y, batch_rows, (lam, pairs))
+        assert got_terms == tuple(pairs)
+        for M, Mm in ((X, Xm), (Y, Ym)):
+            want = [lam * M[batch_rows[TERMS[term][0]][a[j]]] + (1 - lam) * M[batch_rows[TERMS[term][1]][b[j]]]
+                    for term, (a, b) in pairs.items() for j in range(B)]
+            assert Mm.dtype == dtype and Mm.tobytes() == np.array(want, dtype).tobytes()
 
 
 class TestRampAlpha:
@@ -240,7 +269,7 @@ class TestMixupDegeneracies:
 
     def test_lambda_one_reduces_to_plain_ce(self):
         pairing = (1.0, self.pairing_idx)
-        tb = apply_pairing(self.batches, pairing)
+        tb = apply_pairing(*as_table(self.batches), pairing)
         _, _, comps = composite_loss_and_grad(self.params, tb, alpha=1.3)
         assert comps["L_ss"] == pytest.approx(self.plain_ce("s"), abs=1e-9)
         assert comps["L_mm"] == pytest.approx(self.plain_ce("m"), abs=1e-9)
@@ -248,7 +277,7 @@ class TestMixupDegeneracies:
 
     def test_lambda_zero_reduces_to_plain_ce_on_other_side(self):
         pairing = (0.0, self.pairing_idx)
-        tb = apply_pairing(self.batches, pairing)
+        tb = apply_pairing(*as_table(self.batches), pairing)
         _, _, comps = composite_loss_and_grad(self.params, tb, alpha=0.4)
         assert comps["L_ss"] == pytest.approx(self.plain_ce("s"), abs=1e-9)
         assert comps["L_mm"] == pytest.approx(self.plain_ce("m"), abs=1e-9)
@@ -275,7 +304,7 @@ class TestHandComputedComposite:
             },
         )
         alpha = 0.7
-        tb = apply_pairing(batches, pairing)
+        tb = apply_pairing(*as_table(batches), pairing)
         total, _, comps = composite_loss_and_grad(params, tb, alpha)
 
         def ce(x, y):
@@ -322,10 +351,10 @@ class TestCompositeGradient:
             alpha = 1.7
 
             def loss_fn():
-                tb = apply_pairing(batches, pairing)
+                tb = apply_pairing(*as_table(batches), pairing)
                 return composite_loss_and_grad(params, tb, alpha)[0]
 
-            _, grads, _ = composite_loss_and_grad(params, apply_pairing(batches, pairing), alpha)
+            _, grads, _ = composite_loss_and_grad(params, apply_pairing(*as_table(batches), pairing), alpha)
             worst = max(worst, max_rel_err(grads, finite_difference(params, loss_fn)))
         assert worst < 1e-4
 
@@ -355,7 +384,7 @@ class TestStackedStep:
         batches = {key: (rng.normal(size=(B, d)).astype(dtype), targets().astype(dtype))
                    for key in ("m", "s", "u")}
         _, pairs = draw_pairing(rng, sorted(terms, key=list(TERMS).index), B)
-        total, grad, comps = composite_loss_and_grad(params, apply_pairing(batches, (lam, pairs)), alpha)
+        total, grad, comps = composite_loss_and_grad(params, apply_pairing(*as_table(batches), (lam, pairs)), alpha)
 
         ref_total, ref_grad, ref_comps = 0.0, np.zeros(params.flat.size), {}
         for term, (idx_a, idx_b) in pairs.items():
@@ -411,7 +440,7 @@ class TestWorkspaceReuse:
             batches = {"m": (Xm, Ym), "s": (Xs, Ys), "u": (Xu, None)}
             batches = {key: (X.astype(dtype), pseudo_label(ws.params, X.astype(dtype)) if Y is None else Y.astype(dtype))
                        for key, (X, Y) in batches.items()}
-            mixed = apply_pairing(batches, draw_pairing(rng, terms, B))
+            mixed = apply_pairing(*as_table(batches), draw_pairing(rng, terms, B))
             total, grad, comps = composite_loss_and_grad(ws.params, mixed, 1.5, ws)
             fresh = Workspace(master, B, len(terms), dtype)
             want_total, want_grad, want_comps = composite_loss_and_grad(fresh.params, mixed, 1.5, fresh)
@@ -497,10 +526,9 @@ class TestRunStrategy:
         # singles labeled E, multis labeled C: over 100 batches of 128 the
         # share of C rows is the sampler's even coin, 0.5 (std 0.0044)
         rng = np.random.default_rng(3)
-        data = {"s": (rng.normal(size=(60, 3)), np.tile(np.eye(3)[E], (60, 1))),
-                "m": (rng.normal(size=(2, 3)), np.tile(np.eye(3)[C], (2, 1))), "u": None}
-        (draw,) = strategies._draws(data, "upsampled", "ce_upsampling").values()
-        share = np.mean([draw(rng, 128)[1][:, C].mean() for _ in range(100)])
+        Y = np.concatenate([np.tile(np.eye(3)[E], (60, 1)), np.tile(np.eye(3)[C], (2, 1))])
+        draw = strategies._sampler({"s": (0, 60), "m": (60, 2), "u": (62, 0)}, "upsampled", "ce_upsampling")
+        share = np.mean([Y.take(draw(rng, 128)["upsampled"], axis=0)[:, C].mean() for _ in range(100)])
         assert abs(share - 0.5) <= 0.02
 
     def test_mixup_su_then_m_runs_two_phases(self):

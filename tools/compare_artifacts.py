@@ -11,11 +11,13 @@ It also trains every ``STRATEGIES`` kind under both heads on a small
 synthetic split, in one process per tree, and writes each run's
 ``params.flat`` bytes and trainlog, so every training trajectory is
 compared too, once at hidden sizes (16, 16) with 32-row batches and once
-with one hidden unit and one-row batches. And it has each tree load
-corrupted copies of a small synthetic pool, one per fault kind and one
-per pair of kinds on one line, printing each error or a hash of the
-loaded columns, so that the corpus loader's checks, messages and
-precedence are compared line by line. Both trees run in the same directory, one after the other,
+with one hidden unit and one-row batches, and on a singles-only and a
+multis-only split of the same pool, where a kind that needs the empty set
+writes its error instead. And it has each tree load corrupted copies of a
+small synthetic pool, one per fault kind and one per pair of kinds on one
+line, printing each error or a hash of the loaded columns, so that the
+corpus loader's checks, messages and precedence are compared line by
+line. Both trees run in the same directory, one after the other,
 since the typing config's corpus paths enter its hashed directory names.
 Then it diffs every file the runs wrote and every exit code and stdout
 line. Run it from the repository root:
@@ -57,27 +59,37 @@ TIMEOUT_S = 600
 # PYTHONPATH: 150 + 40 iterations of every kind under each head, on one
 # split of a 300-row synthetic pool, at hidden sizes (16, 16) with batches of
 # 32 rows, and at one hidden unit with batches of one row, the edge shapes of
-# the training step's buffers.
+# the training step's buffers; then at (16, 16) and 32 rows on a singles-only
+# and a multis-only split of the same pool, where a kind that needs the empty
+# set writes its StrategyError text instead.
 TRAJECTORIES = """
 import sys
 from pathlib import Path
 from mixbudget.corpus import BudgetPlan, LabelVocab, SyntheticConfig, allocate_budget, generate_synthetic_pool
-from mixbudget.strategies import STRATEGIES, MixupConfig, StrategySpec, run_strategy
+from mixbudget.strategies import STRATEGIES, MixupConfig, StrategyError, StrategySpec, run_strategy
 
 out, seed = Path(sys.argv[1]), int(sys.argv[2])
 out.mkdir(parents=True)
 vocab = LabelVocab(("E", "N", "C"))
 pool = generate_synthetic_pool(SyntheticConfig(n_examples=300, k_classes=3, d_feat=8, seed=seed))
-split = allocate_budget(pool, BudgetPlan(200, 100, 10, 10, n_unlabeled=100), seed, vocab)
+mixed, singles, multis = (allocate_budget(pool, plan, seed, vocab) for plan in (
+    BudgetPlan(200, 100, 10, 10, n_unlabeled=100), BudgetPlan(100, 100, 0, 1, n_unlabeled=100),
+    BudgetPlan(100, 0, 10, 10, n_unlabeled=100)))
 for head in ("softmax", "sigmoid"):
     for kind in STRATEGIES:
-        for name, hidden, batch_size in ((f"{kind}-{head}", (16, 16), 32), (f"{kind}-{head}-h1-b1", (1,), 1)):
+        for name, split, hidden, batch_size in (
+                (f"{kind}-{head}", mixed, (16, 16), 32), (f"{kind}-{head}-h1-b1", mixed, (1,), 1),
+                (f"{kind}-{head}-singles", singles, (16, 16), 32), (f"{kind}-{head}-multis", multis, (16, 16), 32)):
             spec = StrategySpec(kind=kind, iterations_main=150, iterations_finetune=40, lr=1e-2, hidden_sizes=hidden,
                                 head=head, mixup=MixupConfig(batch_size=batch_size), seed=seed)
-            params, log = run_strategy(spec, split, vocab)
+            try:
+                params, log = run_strategy(spec, split, vocab)
+            except StrategyError as e:
+                (out / f"{name}.error").write_text(str(e), encoding="utf-8")
+                continue
             (out / f"{name}.params").write_bytes(params.flat.tobytes())
             log.write(out / f"{name}.trainlog.jsonl")
-print(f"{4 * len(STRATEGIES)} trajectories")
+print(f"{8 * len(STRATEGIES)} trajectories")
 """
 
 # Run as ``python -c LOADS <dir>``: loads every corpus file in the directory

@@ -183,7 +183,8 @@ class BudgetPlan:
 
     def __post_init__(self):
         for name in ("total_labels", "n_single", "n_multi", "k_per_multi", "n_unlabeled"):
-            if getattr(self, name) < (low := int(name == "k_per_multi")):  # a multi carries at least one label
+            # a plan spends at least one label, and a multi carries at least one
+            if getattr(self, name) < (low := int(name in ("total_labels", "k_per_multi"))):
                 raise CorpusError(f"{name} must be >= {low}")
         if self.n_single * 1 + self.n_multi * self.k_per_multi != self.total_labels:
             raise CorpusError(

@@ -7,9 +7,10 @@ in the test suite; no autodiff framework is involved.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
+import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -23,49 +24,47 @@ W_NEG = 0.1  # sigmoid head: loss weight of an unannotated type (partial annotat
 
 @dataclass
 class ClassifierParams:
-    """MLP weights/biases, held in one float64 vector ``flat`` laid out in
-    ``arrays()`` order; ``weights[i]`` (shape (n_in, n_out)) and
-    ``biases[i]`` are views into it. Hidden activations are tanh, the
-    final layer is raw logits. A ``Workspace`` holds a copy in its own
-    dtype, ``Workspace.params``, for training steps."""
+    """MLP weights/biases, held in one vector ``flat`` (of any float dtype) laid out by
+    ``shapes`` [W0, b0, W1, b1, ...]; ``weights[i]`` (shape (n_in, n_out)) and
+    ``biases[i]`` are views into it. Hidden activations are tanh, the final
+    layer is raw logits. The master params are float64; a ``Workspace``
+    holds a copy in its own dtype, ``Workspace.params``, for training steps."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head: str = "softmax"
+    shapes: list[tuple[int, ...]]
+    flat: np.ndarray
+    head: str
 
     def __post_init__(self):
         if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
-        if len(self.weights) != len(self.biases):
+        self.shapes = [tuple(map(operator.index, s)) for s in self.shapes]
+        Ws, bs = self.shapes[0::2], self.shapes[1::2]
+        if len(Ws) != len(bs):
             raise ValueError("weights/biases length mismatch")
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim != 2 or b.shape != W.shape[1:]:  # W's rank first, so W.shape[1:] is its width
-                raise ValueError(f"layer {i}: weight {W.shape} and bias {b.shape} are not (n_in, n_out) and (n_out,)")
-            if i and W.shape[0] != self.weights[i - 1].shape[1]:
-                raise ValueError(f"layer {i}: weight {W.shape} does not take layer {i - 1}'s width "
-                                 f"{self.weights[i - 1].shape[1]}")
-        self.flat = np.concatenate([np.ravel(a) for a in self.arrays()], dtype=np.float64)
+        if not Ws:
+            raise ValueError("no layers")
+        for i, (W, b) in enumerate(zip(Ws, bs)):
+            if len(W) != 2 or b != W[1:] or min(W) < 0:
+                raise ValueError(f"layer {i}: weight {W} and bias {b} are not (n_in, n_out) and (n_out,)")
+            if i and W[0] != Ws[i - 1][1]:
+                raise ValueError(f"layer {i}: weight {W} does not take layer {i - 1}'s width {Ws[i - 1][1]}")
+        n = sum(map(math.prod, self.shapes))
+        if self.flat.shape != (n,):
+            raise ValueError(f"flat has shape {self.flat.shape}, its shapes need ({n},)")
         views = self.views(self.flat)
         self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def n_in(self) -> int:
-        return self.weights[0].shape[0]
-
-    def arrays(self) -> list[np.ndarray]:
-        """Parameter arrays, interleaved [W0, b0, W1, b1, ...]."""
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
+        return self.shapes[0][0]
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Views of a vector (or a stack of vectors) laid out like ``flat``, one per ``arrays()`` entry."""
+        """Views of a vector (or a stack of vectors) laid out like ``flat``, one per ``shapes`` entry."""
         out, start = [], 0
-        for a in self.arrays():
-            out.append(vec[..., start:start + a.size].reshape(*vec.shape[:-1], *a.shape))
-            start += a.size
+        for shape in self.shapes:
+            size = math.prod(shape)
+            out.append(vec[..., start:start + size].reshape(*vec.shape[:-1], *shape))
+            start += size
         return out
 
 
@@ -76,15 +75,15 @@ def init_params(
     head: str = "softmax",
     seed: int = 0,
 ) -> ClassifierParams:
-    """Xavier-uniform weights, zero biases; deterministic given ``seed``."""
+    """Xavier-uniform weights, zero biases, in float64; deterministic given ``seed``."""
     rng = np.random.default_rng(seed)
     sizes = [d_feat, *hidden_sizes, n_out]
-    weights, biases = [], []
+    shapes, parts = [], []
     for n_in, n_o in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (n_in + n_o))
-        weights.append(rng.uniform(-limit, limit, size=(n_in, n_o)))
-        biases.append(np.zeros(n_o))
-    return ClassifierParams(weights=weights, biases=biases, head=head)
+        shapes += [(n_in, n_o), (n_o,)]
+        parts += [rng.uniform(-limit, limit, size=n_in * n_o), np.zeros(n_o)]
+    return ClassifierParams(shapes, np.concatenate(parts), head)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +254,7 @@ class Workspace:
 
     def __init__(self, params: ClassifierParams, batch_size: int, groups: int = 1, dtype=np.float64):
         self.groups = groups
-        self.params = copy.copy(params)  # head and layout shared; flat and its views its own
-        self.params.flat = params.flat.astype(dtype)
-        views = params.views(self.params.flat)
-        self.params.weights, self.params.biases = views[0::2], views[1::2]
+        self.params = ClassifierParams(params.shapes, params.flat.astype(dtype), params.head)
         self.acts = [np.empty((groups, batch_size, W.shape[1]), dtype) for W in params.weights]
         self.acts_T = [a.transpose(0, 2, 1) for a in self.acts[:-1]]
         widest = max((W.shape[0] for W in params.weights[1:]), default=0)
@@ -354,10 +350,12 @@ def adam_step(params: ClassifierParams, state: AdamState, grad: np.ndarray) -> N
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
-# Format: one UTF-8 JSON header line (shapes, head, vocab hash, seed),
-# then ``params.flat`` as raw little-endian float64 bytes, i.e. every
-# parameter array in ``params.arrays()`` order. Lossless and byte-stable
-# for fixed inputs.
+# Format: one UTF-8 JSON header line, every key of ``HEADER_TYPES`` required in its JSON type, then
+# ``params.flat`` as raw little-endian float64 bytes, i.e. every parameter array in ``params.shapes``
+# order. Lossless and byte-stable for fixed inputs.
+
+HEADER_TYPES = {"format": str, "head": str, "shapes": list, "vocab_hash": str, "seed": int}
+
 
 def vocab_hash(names) -> str:
     return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()[:16]
@@ -367,7 +365,7 @@ def save_checkpoint(params: ClassifierParams, path, vocab_names, seed: int) -> N
     header = {
         "format": "mixbudget-checkpoint-v1",
         "head": params.head,
-        "shapes": [list(a.shape) for a in params.arrays()],
+        "shapes": [list(s) for s in params.shapes],
         "vocab_hash": vocab_hash(vocab_names),
         "seed": seed,
     }
@@ -383,14 +381,14 @@ def load_checkpoint(path) -> tuple[ClassifierParams, dict]:
         header = json.loads(line.decode("utf-8"))
         if type(header) is not dict or header.get("format") != "mixbudget-checkpoint-v1":
             raise ValueError("not a recognized checkpoint file")
-        shapes = header["shapes"]
-        n_bytes = 8 * sum(int(np.prod(shape)) for shape in shapes)
+        for key, kind in HEADER_TYPES.items():
+            if type(header[key]) is not kind:  # a missing key raises KeyError; a boolean is no int
+                raise TypeError(f"{key} is {type(header[key]).__name__}, not {kind.__name__}")
+        n_bytes = 8 * sum(int(np.prod(shape)) for shape in header["shapes"])
         if len(body) != n_bytes:
             raise ValueError(f"checkpoint body is {len(body)} bytes, its shapes need {n_bytes}")
-        params = ClassifierParams(weights=[np.empty(s) for s in shapes[0::2]],
-                                  biases=[np.empty(s) for s in shapes[1::2]], head=header["head"])
+        params = ClassifierParams(header["shapes"], np.frombuffer(body, "<f8").astype(np.float64), header["head"])
     except (KeyError, TypeError, ValueError) as e:  # a UnicodeDecodeError too
         detail = e if type(e) is ValueError else f"bad header ({type(e).__name__}: {e})"
         raise ValueError(f"{path}: {detail}") from None
-    params.flat[:] = np.frombuffer(body, dtype="<f8")
     return params, header

@@ -706,7 +706,9 @@ class TestCorruptArtifacts:
         ([[3], [3]], "layer 0: weight (3,) and bias (3,) are not (n_in, n_out) and (n_out,)"),
         ([[3, 4], [4], [5, 3], [3]], "layer 1: weight (5, 3) does not take layer 0's width 4"),
         ([[4, 3], [3, 1]], "layer 0: weight (4, 3) and bias (3, 1) are not (n_in, n_out) and (n_out,)"),
-    ], ids=["1-d weight", "layers that do not chain", "2-d bias"])
+        ([[-1, 2], [2]], "layer 0: weight (-1, 2) and bias (2,) are not (n_in, n_out) and (n_out,)"),
+        ([], "no layers"),
+    ], ids=["1-d weight", "layers that do not chain", "2-d bias", "negative width", "no layers"])
     def test_checkpoint_layer_shapes(self, tmp_path, capsys, shapes, error):
         path = write_config(tmp_path, base_config(tmp_path))
         assert run_cli("gen", "--config", str(path)) == 0
@@ -718,6 +720,24 @@ class TestCorruptArtifacts:
         capsys.readouterr()
         assert run_cli("eval", "--config", str(path)) == 1
         assert error_lines(capsys) == [{"error": f"ValueError: {checkpoint}: {error}"}]
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda h: h.pop("vocab_hash"), "bad header (KeyError: 'vocab_hash')"),
+        (lambda h: h.update(vocab_hash=0), "bad header (TypeError: vocab_hash is int, not str)"),
+    ], ids=["no vocab_hash", "numeric vocab_hash"])
+    def test_checkpoint_header_key(self, tmp_path, capsys, edit, detail):
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert run_cli("gen", "--config", str(path)) == 0
+        checkpoint = cli.run_dir(cli.load_config(path), 0) / "checkpoint.bin"
+        checkpoint.parent.mkdir(parents=True)
+        save_checkpoint(init_params(4, (8,), 3, seed=0), checkpoint, VOCAB.names, 0)
+        line, body = checkpoint.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(path)) == 1
+        assert error_lines(capsys) == [{"error": f"ValueError: {checkpoint}: {detail}"}]
 
     def test_empty_report(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -904,6 +924,7 @@ class TestConfigChecks:
         ("sweep", "calibration.method", "platt", "CalibrationError: calibration.method must be one of "
          "'temp_scaling', 'pred_smoothing', 'train_smoothing', got 'platt'"),
         ("split", "plan.total_labels", 99, "CorpusError: plan.total_labels does not balance: 60 * 1 + 4 * 10 != 99"),
+        ("split", "plan.total_labels", 0, "CorpusError: plan.total_labels must be >= 1"),
         ("split", "plan.selection_strategy", "best", "CorpusError: plan.selection_strategy must be one of "
          "'random', 'low_entropy', 'high_entropy', got 'best'"),
         ("gen", "corpus.synthetic.n_examples", 0, "CorpusError: corpus.synthetic.n_examples must be > 0"),
@@ -922,7 +943,8 @@ class TestConfigChecks:
         ("split", "corpus.eval", "eval.jsonl", "ConfigError: corpus.eval cannot go with synthetic, from which gen "
          "writes the eval corpus; eval_path sets another eval corpus"),
     ], ids=["strategy", "strategy.mixup", "plan", "plan.k_per_multi", "corpus.synthetic", "strategy.kind",
-            "strategy.target_mode", "calibration.method", "plan.total_labels", "plan.selection_strategy",
+            "strategy.target_mode", "calibration.method", "plan.total_labels", "plan.total_labels=0",
+            "plan.selection_strategy",
             "corpus.synthetic.n_examples", "corpus.synthetic.k_classes", "corpus.synthetic.dirichlet_flat", "seeds",
             "strategy.lr<0", "strategy.lr=0", "strategy.hidden_sizes=[0]", "strategy.hidden_sizes=[8,-1]",
             "corpus.pool", "corpus.eval"])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixbudget.atomic import atomic_write
@@ -243,6 +243,10 @@ class TestBudgetPlan:
         with pytest.raises(CorpusError, match="^k_per_multi must be >= 1$"):
             BudgetPlan(5, 5, 3, k_per_multi)
 
+    def test_a_plan_spends_at_least_one_label(self):
+        with pytest.raises(CorpusError, match="^total_labels must be >= 1$"):
+            BudgetPlan(0, 0, 0, 1, n_unlabeled=5)
+
     def test_valid_plans(self):
         BudgetPlan(150000, 145000, 500, 10)
         BudgetPlan(500, 100, 200, 2)
@@ -277,6 +281,7 @@ class TestAllocateBudget:
         k = data.draw(st.integers(1, reservoir), label="k_per_multi")
         n_multi = data.draw(st.integers(0, n_pool), label="n_multi")
         n_single = data.draw(st.integers(0, n_pool - n_multi), label="n_single")
+        assume(n_single + n_multi)  # a plan spends at least one label
         n_unlabeled = data.draw(st.integers(0, n_pool), label="n_unlabeled")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         pool = make_pool(n_pool, n_annotations=reservoir, seed=seed % 1000)
@@ -305,6 +310,7 @@ class TestAllocateBudget:
                           label="reservoir sizes")
         n_multi = data.draw(st.integers(0, n_pool), label="n_multi")
         n_single = data.draw(st.integers(0, n_pool - n_multi), label="n_single")
+        assume(n_single + n_multi)  # a plan spends at least one label
         n_unlabeled = data.draw(st.integers(0, n_pool), label="n_unlabeled")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         vocab = LabelVocab(tuple(f"l{c}" for c in range(k_classes)))

@@ -1,6 +1,8 @@
 """Model tests: forward heads, losses, analytic gradients, Adam, checkpoints."""
 
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,9 +34,14 @@ from mixbudget.strategies import MixupConfig, StrategySpec, run_strategy
 F32_TOL = 32 * np.finfo(np.float32).eps  # float32 against float64: a few float32 roundings, not float64's
 
 
+def params_of(arrays, head):
+    """Params holding ``arrays``, [W0, b0, W1, b1, ...], copied into one float64 vector."""
+    return ClassifierParams([a.shape for a in arrays], np.concatenate([np.ravel(a) for a in arrays]), head)
+
+
 def identity_net(k, head="softmax"):
     """Final-layer-only model that passes its input through as logits."""
-    return ClassifierParams(weights=[np.eye(k)], biases=[np.zeros(k)], head=head)
+    return params_of([np.eye(k), np.zeros(k)], head)
 
 
 def zero_net(d, hidden, k, head="softmax"):
@@ -62,6 +69,20 @@ def finite_difference(params, loss_fn, h=1e-5):
 def max_rel_err(analytic, numeric):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+class TestParams:
+    def test_flat_keeps_its_dtype_and_the_layers_view_it(self):
+        flat = np.arange(8, dtype=np.float32)
+        params = ClassifierParams([[3, 2], [2]], flat, "sigmoid")
+        assert params.flat is flat and params.shapes == [(3, 2), (2,)] and params.n_in == 3
+        assert params.weights[0].tolist() == [[0, 1], [2, 3], [4, 5]] and params.biases[0].tolist() == [6, 7]
+        assert all(np.shares_memory(a, flat) for a in [*params.weights, *params.biases])
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (1, 8)])
+    def test_flat_must_have_the_length_the_shapes_need(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"flat has shape {shape}, its shapes need (8,)")):
+            ClassifierParams([(3, 2), (2,)], np.zeros(shape), "softmax")
 
 
 class TestForwardSoftmax:
@@ -203,6 +224,16 @@ class TestMixedPrecision:
             assert np.abs(g32 - g64).max() <= F32_TOL * np.abs(g64).max()
             assert loss32 == pytest.approx(loss64, rel=F32_TOL)
 
+    def test_float64_workspace_params_are_a_copy(self):
+        params = init_params(4, (5,), 3, "sigmoid", seed=1)
+        master = params.flat.copy()
+        ws = Workspace(params, 8)
+        assert ws.params.flat.dtype == np.float64 and np.array_equal(ws.params.flat, master)
+        assert (ws.params.shapes, ws.params.head) == (params.shapes, params.head)
+        ws.params.flat += 1.0
+        assert np.array_equal(params.flat, master)
+        assert np.array_equal(ws.params.weights[0], params.weights[0] + 1.0)
+
     def test_training_returns_float64_params_and_an_f8_checkpoint(self, tmp_path):
         vocab = LabelVocab(("E", "N", "C"))
         pool = generate_synthetic_pool(SyntheticConfig(n_examples=80, k_classes=3, d_feat=4, seed=5))
@@ -210,7 +241,7 @@ class TestMixedPrecision:
         spec = StrategySpec(kind="mixup_smu", iterations_main=5, hidden_sizes=(8,),
                             mixup=MixupConfig(batch_size=8))
         params, _ = run_strategy(spec, split, vocab)
-        assert all(a.dtype == np.float64 for a in [params.flat, *params.arrays()])
+        assert all(a.dtype == np.float64 for a in [params.flat, *params.views(params.flat)])
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path, vocab.names, seed=0)
         body = path.read_bytes().split(b"\n", 1)[1]
@@ -222,16 +253,16 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = init_params(3, (4,), 2, seed=0)
         state = init_adam(params, lr=0.1)
-        before = [a.copy() for a in params.arrays()]
+        before = [a.copy() for a in params.views(params.flat)]
         adam_step(params, state, np.zeros_like(params.flat))
         assert state.step == 1
-        for a, b in zip(params.arrays(), before):
+        for a, b in zip(params.views(params.flat), before):
             assert np.array_equal(a, b)
 
     def test_first_step_matches_hand_computation(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([0.5, -0.5])
-        params = ClassifierParams(weights=[W.copy()], biases=[b.copy()])
+        params = params_of([W, b], "softmax")
         state = init_adam(params, lr=0.01)
         gW = np.array([[0.3, -0.7], [0.0, 2.0]])
         gb = np.array([-1.0, 0.25])
@@ -243,9 +274,7 @@ class TestAdam:
 
     def test_identical_blocks_update_identically(self):
         W = np.random.default_rng(4).normal(size=(3, 3))
-        params = ClassifierParams(
-            weights=[W.copy(), W.copy()], biases=[np.zeros(3), np.zeros(3)]
-        )
+        params = params_of([W, np.zeros(3), W, np.zeros(3)], "softmax")
         state = init_adam(params, lr=0.05)
         g = np.random.default_rng(5).normal(size=(3, 3))
         gb = np.random.default_rng(6).normal(size=3)
@@ -392,7 +421,7 @@ class TestCheckpoint:
         loaded, header = load_checkpoint(path)
         assert header["seed"] == 11
         assert loaded.head == params.head
-        for a, b in zip(loaded.arrays(), params.arrays()):
+        for a, b in zip(loaded.views(loaded.flat), params.views(params.flat)):
             assert np.array_equal(a, b)
 
     @settings(max_examples=25, deadline=None,
@@ -414,6 +443,35 @@ class TestCheckpoint:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match="checkpoint body"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, detail", [
+        *[(lambda h, key=key: h.pop(key), f"KeyError: '{key}'") for key in ("head", "shapes", "vocab_hash", "seed")],
+        (lambda h: h.update(head=["softmax"]), "TypeError: head is list, not str"),
+        (lambda h: h.update(shapes={"0": [3, 2]}), "TypeError: shapes is dict, not list"),
+        (lambda h: h.update(vocab_hash=123), "TypeError: vocab_hash is int, not str"),
+        (lambda h: h.update(seed="0"), "TypeError: seed is str, not int"),
+        (lambda h: h.update(seed=True), "TypeError: seed is bool, not int"),
+        (lambda h: h.update(seed=0.0), "TypeError: seed is float, not int"),
+    ], ids=["no head", "no shapes", "no vocab_hash", "no seed", "list head", "object shapes", "numeric vocab_hash",
+            "string seed", "boolean seed", "float seed"])
+    def test_every_header_key_required_in_its_json_type(self, tmp_path, edit, detail):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_params(3, (2,), 2, seed=0), path, ("a", "b"), seed=0)
+        line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: bad header ({detail})')}$"):
+            load_checkpoint(path)
+
+    def test_non_integer_shape_fails_naming_the_file(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        header = {"format": "mixbudget-checkpoint-v1", "head": "softmax", "shapes": [[3, 3.5], [3.5]],
+                  "vocab_hash": "0" * 16, "seed": 0}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * (10 + 3)))  # int(3 * 3.5) + int(3.5)
+        detail = "bad header (TypeError: 'float' object cannot be interpreted as an integer)"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {detail}')}$"):
+            load_checkpoint(path)
 
     def test_vocab_hash_changes_with_vocab(self, tmp_path):
         params = init_params(2, (), 2, seed=0)

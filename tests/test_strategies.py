@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mixbudget.corpus import Corpus, CorpusSplit, LabelVocab
 from mixbudget.model import (
     HEADS,
-    ClassifierParams,
     Workspace,
     batch_soft_cross_entropy,
     forward_scores,
@@ -35,12 +34,10 @@ from mixbudget.strategies import (
     run_strategy,
 )
 
+from test_model import identity_net
+
 VOCAB = LabelVocab(("E", "N", "C"))
 E, N, C = 0, 1, 2
-
-
-def identity_net(k):
-    return ClassifierParams(weights=[np.eye(k)], biases=[np.zeros(k)])
 
 
 def rows(*examples, d=2):
@@ -456,7 +453,7 @@ class TestRunStrategy:
         spec_b = spec_for("ce_combined")
         params_a, _ = run_strategy(spec_a, split, VOCAB)
         params_b, log_b = run_strategy(spec_b, singles_only, VOCAB)
-        for a, b in zip(params_a.arrays(), params_b.arrays()):
+        for a, b in zip(params_a.views(params_a.flat), params_b.views(params_b.flat)):
             assert np.array_equal(a, b)
 
     def test_combined_without_multis_matches_single_only_trajectory(self):
@@ -464,7 +461,7 @@ class TestRunStrategy:
         params_a, log_a = run_strategy(spec_for("ce_combined"), split, VOCAB)
         params_b, log_b = run_strategy(spec_for("ce_curriculum", iterations_finetune=0), split, VOCAB)
         assert [e["loss"] for e in log_a.entries] == [e["loss"] for e in log_b.entries]
-        for a, b in zip(params_a.arrays(), params_b.arrays()):
+        for a, b in zip(params_a.views(params_a.flat), params_b.views(params_b.flat)):
             assert np.array_equal(a, b)
 
     def test_missing_set_error_names_the_set(self):
@@ -498,7 +495,7 @@ class TestRunStrategy:
         split = toy_split()
         a, _ = run_strategy(spec_for("mixup_smu", seed=3), split, VOCAB)
         b, _ = run_strategy(spec_for("mixup_smu", seed=3), split, VOCAB)
-        for x, y in zip(a.arrays(), b.arrays()):
+        for x, y in zip(a.views(a.flat), b.views(b.flat)):
             assert np.array_equal(x, y)
 
     def test_upsampling_shifts_mass_toward_multis(self):

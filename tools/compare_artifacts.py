@@ -10,14 +10,14 @@ selection, which has a split of its own; each at ``workers`` 1 and 2.
 It also trains every ``STRATEGIES`` kind under both heads on a small
 synthetic split, in one process per tree, and writes each run's
 ``params.flat`` bytes and trainlog, so every training trajectory is
-compared too, once at hidden sizes (16, 16) with 32-row batches and once
-with one hidden unit and one-row batches, and on a singles-only and a
-multis-only split of the same pool, where a kind that needs the empty set
-writes its error instead. And it has each tree load corrupted copies of a
-small synthetic pool, one per fault kind and one per pair of kinds on one
-line, printing each error or a hash of the loaded columns, so that the
-corpus loader's checks, messages and precedence are compared line by
-line. Both trees run in the same directory, one after the other,
+compared too, at hidden sizes (16, 16) with 32-row batches, with one
+hidden unit and one-row batches, and with no hidden layer, and on a
+singles-only and a multis-only split of the same pool, where a kind that
+needs the empty set writes its error instead. And it has each tree load
+corrupted copies of a small synthetic pool, one per fault kind and one
+per pair of kinds on one line, printing each error or a hash of the
+loaded columns, so that the corpus loader's checks, messages and
+precedence are compared line by line. Both trees run in the same directory, one after the other,
 since the typing config's corpus paths enter its hashed directory names.
 Then it diffs every file the runs wrote and every exit code and stdout
 line. Run it from the repository root:
@@ -37,7 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import combinations
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,10 +58,11 @@ TIMEOUT_S = 600
 # Run as ``python -c TRAJECTORIES <out dir> <seed>`` with a tree's src on
 # PYTHONPATH: 150 + 40 iterations of every kind under each head, on one
 # split of a 300-row synthetic pool, at hidden sizes (16, 16) with batches of
-# 32 rows, and at one hidden unit with batches of one row, the edge shapes of
-# the training step's buffers; then at (16, 16) and 32 rows on a singles-only
-# and a multis-only split of the same pool, where a kind that needs the empty
-# set writes its StrategyError text instead.
+# 32 rows, at one hidden unit with batches of one row, and with no hidden layer
+# (no hidden outputs and an empty scratch) with batches of 32 rows, the edge
+# shapes of the training step's buffers; then at (16, 16) and 32 rows on a
+# singles-only and a multis-only split of the same pool, where a kind that
+# needs the empty set writes its StrategyError text instead.
 TRAJECTORIES = """
 import sys
 from pathlib import Path
@@ -79,6 +80,7 @@ for head in ("softmax", "sigmoid"):
     for kind in STRATEGIES:
         for name, split, hidden, batch_size in (
                 (f"{kind}-{head}", mixed, (16, 16), 32), (f"{kind}-{head}-h1-b1", mixed, (1,), 1),
+                (f"{kind}-{head}-h0", mixed, (), 32),
                 (f"{kind}-{head}-singles", singles, (16, 16), 32), (f"{kind}-{head}-multis", multis, (16, 16), 32)):
             spec = StrategySpec(kind=kind, iterations_main=150, iterations_finetune=40, lr=1e-2, hidden_sizes=hidden,
                                 head=head, mixup=MixupConfig(batch_size=batch_size), seed=seed)
@@ -89,7 +91,7 @@ for head in ("softmax", "sigmoid"):
                 continue
             (out / f"{name}.params").write_bytes(params.flat.tobytes())
             log.write(out / f"{name}.trainlog.jsonl")
-print(f"{8 * len(STRATEGIES)} trajectories")
+print(f"{10 * len(STRATEGIES)} trajectories")
 """
 
 # Run as ``python -c LOADS <dir>``: loads every corpus file in the directory
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
                 runs[side] = run_tree(src.resolve(), out, seed, copies), files(out)
                 out.rename(out.with_name(side))
             (base_lines, base_files), (head_lines, head_files) = runs["base"], runs["head"]
-            for a, b in zip(base_lines, head_lines):
+            for a, b in zip_longest(base_lines, head_lines):  # a line only one tree printed differs too
                 if a != b:
                     n_diff += 1
                     print(f"seed {seed}: stdout differs\n  base: {a}\n  head: {b}")
@@ -268,7 +270,7 @@ def main(argv=None) -> int:
                     n_diff += 1
                     side = "head" if name not in base_files else "base" if name not in head_files else None
                     print(f"seed {seed}: {name} " + (f"is only in {side}" if side else "differs"))
-            n_lines += len(base_lines)
+            n_lines += max(len(base_lines), len(head_lines))
             n_files += len(base_files.keys() | head_files.keys())
     print(f"{n_files} files and {n_lines} output lines compared over seeds {args.seeds}: "
           f"{n_diff} differ")

@@ -15,7 +15,9 @@ timestamps, so re-runs are byte-identical. Each command imports only the
 modules it runs (``gen``, ``split`` and ``report`` load no training code,
 and ``report`` loads no numpy). A sweep reads and checks its inputs once,
 before the first seed, then runs each seed's ``train``, ``eval`` and
-``calibrate``. Every process that trains runs OpenBLAS on one thread.
+``calibrate``. Importing this module sets ``OPENBLAS_NUM_THREADS=1``, so
+every CLI process, and every sweep worker it forks, runs OpenBLAS on one
+thread; a host that loaded numpy before importing it keeps its own setting.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
@@ -31,6 +34,11 @@ from types import NoneType, UnionType
 from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
 
 from .atomic import atomic_write
+
+# One OpenBLAS thread: training's matmuls are small, so on default threads parallel sweep workers oversubscribe
+# the CPUs and a cold process's first steps can stall, and one thread writes the same bytes. OpenBLAS reads this
+# when numpy loads it, so it holds only where numpy is not loaded yet: none of the imports above loads numpy.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 if TYPE_CHECKING:  # for annotations; each command imports what it runs
     from .calibrate import CalibrationConfig
@@ -335,7 +343,6 @@ def cmd_train(cfg: Config, seed: int, inputs: _Inputs) -> dict:
     from .model import save_checkpoint
     from .strategies import run_strategy
 
-    _one_blas_thread()
     params, log = run_strategy(build_strategy(cfg, seed), inputs.split, inputs.vocab)
     out = run_dir(cfg, seed)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,7 +394,6 @@ def cmd_calibrate(cfg: Config, seed: int, inputs: _Inputs) -> dict:
         from .strategies import run_strategy
 
         spec = replace(build_strategy(cfg, seed), train_smooth_mass=tuned.scalar)
-        _one_blas_thread()
         params, _ = run_strategy(spec, inputs.split, vocab)
         preds = forward_scores(params, examples.X)
     else:
@@ -424,32 +430,6 @@ def _init_sweep_worker(inputs: _Inputs) -> None:
     """Sweep-worker initializer: keep the parent's inputs."""
     global _sweep_inputs
     _sweep_inputs = inputs
-
-
-# names of the OpenBLAS thread-count setter across its builds
-BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                    "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _one_blas_thread() -> None:
-    """Run OpenBLAS, if loaded, on one thread. Training's matmuls are small: on default threads, parallel sweep
-    workers oversubscribe the CPUs, and a cold process's first steps can stall; one thread writes the same bytes."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({line.split(None, 5)[5].strip() for line in f
-                           if "openblas" in line.lower()})
-    except OSError:  # no /proc/self/maps on this platform
-        return
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in BLAS_SET_THREADS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
 
 
 def summarize_seeds(summaries: list[dict], seeds: list[int]) -> dict:

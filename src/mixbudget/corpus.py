@@ -402,7 +402,10 @@ def load_vocab(path) -> LabelVocab:
                 names.append(line.decode("utf-8").rstrip("\r\n"))
             except UnicodeDecodeError as e:
                 raise CorpusError(f"{path}: line {lineno}: {e}") from None
-    return LabelVocab(tuple(name for name in names if name.strip()))
+    try:
+        return LabelVocab(tuple(name for name in names if name.strip()))
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from None
 
 
 def save_corpus(corpus: Corpus, path, vocab: LabelVocab) -> None:

@@ -22,7 +22,7 @@ PRED_CLAMP = 1e-12  # floor for probabilities inside logs
 W_NEG = 0.1  # sigmoid head: loss weight of an unannotated type (partial annotations are weak evidence of absence)
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassifierParams:
     """MLP weights/biases, held in one vector ``flat`` (of any float dtype) laid out by
     ``shapes`` [W0, b0, W1, b1, ...]; ``weights[i]`` (shape (n_in, n_out)) and

@@ -71,6 +71,16 @@ class TestGen:
             assert sum(evalset.counter[i]) == 100
             assert not np.isnan(evalset.true_dist[i]).any() and evalset.old_label[i] >= 0
 
+    @pytest.mark.parametrize("text, error", [("E\nN\nE\n", "vocab names must be unique"),
+                                             ("", "vocab must be non-empty")])
+    def test_vocab_file_error_names_the_file(self, tmp_path, monkeypatch, capsys, text, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "vocab.txt").write_text(text)
+        path = write_config(tmp_path, base_config(tmp_path, vocab={"path": "vocab.txt"}))
+        assert run_cli("gen", "--config", str(path)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [{"error": f"CorpusError: vocab.txt: {error}"}]
+
     def test_idempotent_bytes(self, tmp_path):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
@@ -490,7 +500,9 @@ for lib in libs:
                   f"{probe}\n"
                   "print(json.dumps(out))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # importing cli set OPENBLAS_NUM_THREADS=1 here, so the child gets 2: it must set 1 itself
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "OPENBLAS_NUM_THREADS": "2"}
         out = subprocess.run([sys.executable, "-c", script, command, str(config)], env=env,
                              cwd=tmp_path, capture_output=True, text=True, check=True).stdout
         return json.loads(out.splitlines()[-1])
@@ -510,6 +522,12 @@ for lib in libs:
         loaded = self.modules_after(tmp_path, "report", path)
         assert {m for m in loaded if m.startswith("mixbudget")} == {"mixbudget", "mixbudget.cli", "mixbudget.atomic"}
         assert "numpy" not in loaded
+
+    def test_gen_runs_openblas_on_one_thread(self, tmp_path):
+        threads = self.run_cold(tmp_path, "gen", write_config(tmp_path, base_config(tmp_path)), self.BLAS_THREADS)
+        if threads is None:
+            pytest.skip("numpy loads no OpenBLAS here")
+        assert threads == 1
 
     def test_train_runs_openblas_on_one_thread(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path))

@@ -750,6 +750,14 @@ class TestCorpusIO:
             load_vocab(path)
         assert str(info.value).startswith(f"{path}: line 2: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize("text, error", [("E\nN\nE\n", "vocab names must be unique"),
+                                             ("", "vocab must be non-empty")])
+    def test_vocab_file_errors_name_the_file(self, tmp_path, text, error):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            load_vocab(path)
+
     def test_vocab_with_crlf_line_ends(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_bytes(b"E\r\nN\r\n\r\nC\r\n")

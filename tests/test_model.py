@@ -84,6 +84,10 @@ class TestParams:
         with pytest.raises(ValueError, match=re.escape(f"flat has shape {shape}, its shapes need (8,)")):
             ClassifierParams([(3, 2), (2,)], np.zeros(shape), "softmax")
 
+    def test_params_compare_by_identity(self):
+        params = init_params(3, (2,), 2)
+        assert params == params and params != init_params(3, (2,), 2)
+
 
 class TestForwardSoftmax:
     def test_zero_parameters_give_uniform(self):

@@ -20,7 +20,8 @@ loaded columns, so that the corpus loader's checks, messages and
 precedence are compared line by line. Both trees run in the same directory, one after the other,
 since the typing config's corpus paths enter its hashed directory names.
 Then it diffs every file the runs wrote and every exit code and stdout
-line. Run it from the repository root:
+line, each process's lines against those of the same process from the
+other tree. Run it from the repository root:
 
     python3 tools/compare_artifacts.py --base ../parent/src --seeds 0 1
 
@@ -196,17 +197,17 @@ def write_corpus_copies(directory: Path, seed: int) -> None:
     write("file first of two bad lines", two)
 
 
-def run_tree(src: Path, out: Path, seed: int, copies: Path) -> list[str]:
+def run_tree(src: Path, out: Path, seed: int, copies: Path) -> dict[str, list[str]]:
     """Run the trajectories and every command from the tree ``src`` under
-    ``out``, and load the corpus files in ``copies``; one line per line of
-    output: the process's arguments, exit code and that line."""
+    ``out``, and load the corpus files in ``copies``; by process label, one
+    line per line of its output: the label, its exit code and that line."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    lines = []
+    lines = {}
 
     def run(label: str, args: list[str], cwd: Path) -> None:
         proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
-        lines.extend(f"{label} exit {proc.returncode}: {line}" for line in proc.stdout.rstrip().split("\n"))
+        lines[label] = [f"{label} exit {proc.returncode}: {line}" for line in proc.stdout.rstrip().split("\n")]
         if proc.returncode:
             print(f"{src}: {label} failed: {proc.stderr.strip()}", file=sys.stderr)
 
@@ -261,16 +262,18 @@ def main(argv=None) -> int:
                 runs[side] = run_tree(src.resolve(), out, seed, copies), files(out)
                 out.rename(out.with_name(side))
             (base_lines, base_files), (head_lines, head_files) = runs["base"], runs["head"]
-            for a, b in zip_longest(base_lines, head_lines):  # a line only one tree printed differs too
-                if a != b:
-                    n_diff += 1
-                    print(f"seed {seed}: stdout differs\n  base: {a}\n  head: {b}")
+            for label in {**base_lines, **head_lines}:  # paired within each process, so a line shifts no other
+                pairs = list(zip_longest(base_lines.get(label, []), head_lines.get(label, [])))
+                for a, b in pairs:  # a line only one tree printed differs too
+                    if a != b:
+                        n_diff += 1
+                        print(f"seed {seed}: stdout differs\n  base: {a}\n  head: {b}")
+                n_lines += len(pairs)
             for name in sorted(base_files.keys() | head_files.keys()):
                 if base_files.get(name) != head_files.get(name):
                     n_diff += 1
                     side = "head" if name not in base_files else "base" if name not in head_files else None
                     print(f"seed {seed}: {name} " + (f"is only in {side}" if side else "differs"))
-            n_lines += max(len(base_lines), len(head_lines))
             n_files += len(base_files.keys() | head_files.keys())
     print(f"{n_files} files and {n_lines} output lines compared over seeds {args.seeds}: "
           f"{n_diff} differ")
